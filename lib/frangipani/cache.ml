@@ -321,32 +321,35 @@ let write_runs t runs ~on_run_done =
       raise ex
   end
 
-let flush_entries t entries =
-  let candidates =
-    List.filter (fun e -> e.dirty && e.pins = 0) entries
-    |> List.sort_uniq (fun a b -> compare a.addr b.addr)
-  in
-  (* Entries already being written by a concurrent flush are not
-     re-sent; we wait for those writes at the end instead. *)
+(* Write address-sorted dirty [candidates] back. Entries already being
+   written by a concurrent flush are not re-sent — two writes of one
+   sector in flight together could land out of order — but waited for
+   at the end (the durability barrier). [prepare] runs on the entries
+   this call will write, before it marks them in flight. *)
+let write_back t candidates ~prepare =
   let busy = List.filter (fun e -> e.flushing) candidates in
-  let dirty = List.filter (fun e -> not e.flushing) candidates in
-  if dirty <> [] then begin
-    let max_rid = List.fold_left (fun acc e -> max acc e.rid) 0 dirty in
-    if max_rid > 0 then Wal.ensure_flushed t.wal max_rid;
+  let idle = List.filter (fun e -> not e.flushing) candidates in
+  if idle <> [] then begin
+    prepare idle;
     if not (t.lease_ok ()) then Errors.fail Errors.Eio;
-    let runs = group_runs dirty in
-    List.iter (fun e -> e.flushing <- true) dirty;
-    write_runs t runs ~on_run_done:(fun run ->
+    List.iter (fun e -> e.flushing <- true) idle;
+    write_runs t (group_runs idle) ~on_run_done:(fun run ->
         List.iter (fun e -> e.flushing <- false) run;
         Sim.Condition.broadcast t.flush_done)
   end;
-  (* Durability barrier: also wait out writes another flush started. *)
   List.iter
     (fun e ->
       while e.flushing do
         Sim.Condition.wait t.flush_done
       done)
     busy
+
+let flush_entries t entries =
+  List.filter (fun e -> e.dirty && e.pins = 0) entries
+  |> List.sort_uniq (fun a b -> compare a.addr b.addr)
+  |> write_back t ~prepare:(fun dirty ->
+         let max_rid = List.fold_left (fun acc e -> max acc e.rid) 0 dirty in
+         if max_rid > 0 then Wal.ensure_flushed t.wal max_rid)
 
 let flush_lock t lock =
   match Hashtbl.find_opt t.by_lock lock with
@@ -380,18 +383,16 @@ let flush_all t =
 (* WAL-reclaim path: these records are already durable, so no
    ensure_flushed (which would recurse into the in-progress log
    flush). Clustered into runs and submitted together like the main
-   flush path, instead of one serial write per entry. *)
+   flush path, instead of one serial write per entry. Waiting out
+   another flush's in-flight write cannot deadlock: an entry becomes
+   [flushing] only after that flush's [ensure_flushed] returned, so
+   the write never waits on the log. *)
 let flush_upto_rid t bound =
-  let entries =
-    Hashtbl.fold
-      (fun _ e acc -> if e.dirty && e.rid > 0 && e.rid <= bound then e :: acc else acc)
-      t.tbl []
-    |> List.sort_uniq (fun a b -> compare a.addr b.addr)
-  in
-  if entries <> [] then begin
-    if not (t.lease_ok ()) then Errors.fail Errors.Eio;
-    write_runs t (group_runs entries) ~on_run_done:(fun _ -> ())
-  end
+  Hashtbl.fold
+    (fun _ e acc -> if e.dirty && e.rid > 0 && e.rid <= bound then e :: acc else acc)
+    t.tbl []
+  |> List.sort_uniq (fun a b -> compare a.addr b.addr)
+  |> write_back t ~prepare:ignore
 
 let drop_clean t =
   let doomed =

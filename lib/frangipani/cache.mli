@@ -98,7 +98,8 @@ val flush_all : t -> unit
 val flush_upto_rid : t -> int -> unit
 (** Write back dirty metadata recorded by records with id ≤ the
     given bound — the WAL's reclaim hook. Never triggers a log
-    flush. *)
+    flush. Entries another flush already has in flight are not
+    re-sent but waited for, so it returns once they have landed. *)
 
 val drop_clean : t -> unit
 (** Evict all clean entries (lets experiments measure uncached

@@ -63,6 +63,9 @@ type t = {
   prefetch_holds : (int, bool ref list) Hashtbl.t;
       (** lock -> cancellation flags of in-flight prefetches holding
           it in R — what a contended revoke sheds *)
+  atime_pending : (int, int) Hashtbl.t;
+      (** inum -> access time of a read under a shared hold, not yet
+          persisted *)
 }
 
 let check_usable t =
@@ -156,6 +159,26 @@ let prefetch_holds_shed t ~lock =
   | Some cs ->
     Hashtbl.remove t.prefetch_holds lock;
     cs
+
+(* --- approximate atime ---------------------------------------------------- *)
+
+(* A read under a shared hold must not write the inode back (§2.1: a
+   data read costs no metadata write), so its access time waits here
+   until this server's next logged update of the inode carries it
+   ({!Inode.read} folds it in, {!Inode.write} consumes it). Losing one
+   only loses an approximate atime, so the table is simply cleared
+   when it reaches its cap. *)
+let atime_table_cap = 512
+
+let note_atime t inum time =
+  if
+    Hashtbl.length t.atime_pending >= atime_table_cap
+    && not (Hashtbl.mem t.atime_pending inum)
+  then Hashtbl.reset t.atime_pending;
+  Hashtbl.replace t.atime_pending inum time
+
+let pending_atime t inum = Hashtbl.find_opt t.atime_pending inum
+let forget_atime t inum = Hashtbl.remove t.atime_pending inum
 
 (** The data lock covering a given data block of a file: the whole
     file's lock normally, a per-block lock in the ablation mode. *)

@@ -525,7 +525,14 @@ let on_revoke ctx ~lock ~to_read =
   end
   else begin
     Cache.flush_lock ctx.Ctx.cache lock;
-    if not to_read then Cache.invalidate_lock ctx.Ctx.cache lock
+    if not to_read then begin
+      Cache.invalidate_lock ctx.Ctx.cache lock;
+      (* Under write sharing the next revoke would discard a prefetch
+         window as well (Figure 8), so the read after an invalidation
+         fetches only its own blocks; a following revoke-free
+         sequential read opens the full window again. *)
+      Option.iter (Ctx.forget_read_ahead ctx) (Lockns.inode_of_lock lock)
+    end
   end
 
 let on_expired ctx () =
@@ -571,6 +578,7 @@ let mount ~host ~rpc ~vd ~lock_servers ?(table = "fs0") ?(config = Ctx.default_c
       read_ahead_order = Queue.create ();
       prefetch_inflight = Hashtbl.create 64;
       prefetch_holds = Hashtbl.create 16;
+      atime_pending = Hashtbl.create 16;
     }
   in
   Clerk.set_callbacks clerk

@@ -12,6 +12,11 @@ let bitmap_lock gseg = 0x8_0000_0000 + gseg
 let log_lock slot = 0x1_0_0000_0000 + slot
 let block_lock addr = (1 lsl 53) + (addr / Layout.block)
 
+(** The inode an inode lock covers; [None] for every other lock. *)
+let inode_of_lock lock =
+  if lock >= inode_lock 0 && lock < bitmap_lock 0 then Some (lock - inode_lock 0)
+  else None
+
 (* Deadlock avoidance (§5): multi-lock operations acquire in global
    order. Inode locks sort before bitmap locks by construction of the
    id space, which matches the acquisition discipline of the

@@ -246,6 +246,46 @@ let test_write_write_coherence () =
       let final = Fs.read a f ~off:0 ~len:8 in
       Alcotest.(check int) "10 increments" 10 (Stdext.Codec.get_int final 0))
 
+(* Approximate atime (§2.1): a read under a shared hold writes no
+   metadata back, but its time is not simply lost. *)
+let test_atime_under_shared_hold () =
+  Sim.run (fun () ->
+      let t, servers = setup ~nservers:2 () in
+      let a, b = (List.nth servers 0, List.nth servers 1) in
+      let f = Fs.create b ~dir:Fs.root "watched" in
+      Fs.write b f ~off:0 (Bytes.of_string "payload");
+      Fs.sync b;
+      Sim.sleep (Sim.sec 1.0);
+      let dirty0 = Cache.dirty_count a.Ctx.cache in
+      let read_at = Sim.now () in
+      ignore (Fs.read a f ~off:0 ~len:7);
+      Alcotest.(check bool) "a holds R only" true
+        (Locksvc.Clerk.holds a.Ctx.clerk ~lock:(Lockns.inode_lock f)
+        = Some Locksvc.Types.R);
+      Alcotest.(check int) "read dirtied nothing" dirty0 (Cache.dirty_count a.Ctx.cache);
+      Alcotest.(check bool) "local stat sees the read" true
+        ((Fs.stat a f).Fs.atime >= read_at);
+      (* b's write revokes a's shared hold: nothing to write back. *)
+      let w0 = (Fs.petal_stats a).Petal.Client.writes in
+      Fs.write b f ~off:0 (Bytes.of_string "PAYLOAD");
+      Alcotest.(check int) "revoke wrote nothing" 0
+        ((Fs.petal_stats a).Petal.Client.writes - w0);
+      (* a's next logged update of the inode carries the time. *)
+      Fs.write a f ~off:7 (Bytes.of_string "!");
+      Fs.sync a;
+      let c = T.add_server t () in
+      Alcotest.(check bool) "fresh mount sees the shared-hold read" true
+        ((Fs.stat c f).Fs.atime >= read_at);
+      (* Under a W hold a read still dirties the inode sector. *)
+      Fs.write a f ~off:8 (Bytes.of_string "!");
+      Fs.sync a;
+      ignore (Fs.read a f ~off:0 ~len:7);
+      Alcotest.(check bool) "a holds W" true
+        (Locksvc.Clerk.holds a.Ctx.clerk ~lock:(Lockns.inode_lock f)
+        = Some Locksvc.Types.W);
+      Alcotest.(check int) "W read dirties the inode sector" 1
+        (Cache.dirty_count a.Ctx.cache))
+
 (* --- failure handling ------------------------------------------------------ *)
 
 let test_crash_recovery_preserves_synced_metadata () =
@@ -433,6 +473,8 @@ let () =
           Alcotest.test_case "concurrent creates" `Quick
             test_concurrent_creates_distinct_servers;
           Alcotest.test_case "write/write" `Quick test_write_write_coherence;
+          Alcotest.test_case "atime under a shared hold" `Quick
+            test_atime_under_shared_hold;
         ] );
       ( "failures",
         [

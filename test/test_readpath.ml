@@ -160,6 +160,59 @@ let test_revoke_mid_prefetch () =
       Alcotest.(check bool) "prefetched data was discarded" true
         Petal.Client.(s1.reads - s0.reads > 0))
 
+(* --- read-ahead after an invalidating revoke --------------------------------- *)
+
+let read_pieces fs = (Fs.petal_stats fs).Petal.Client.read_pieces
+
+(* Petal read pieces a read costs, counted once every fetch it started
+   (read-ahead included) has landed. *)
+let pieces_of fs f ~off ~len =
+  let p0 = read_pieces fs in
+  ignore (Fs.read fs f ~off ~len);
+  Sim.sleep (Sim.sec 1.0);
+  read_pieces fs - p0
+
+let test_no_read_ahead_after_invalidation () =
+  Sim.run (fun () ->
+      let _, servers = setup ~nservers:2 () in
+      let a = List.nth servers 0 and b = List.nth servers 1 in
+      let f = Fs.create a ~dir:Fs.root "shared" in
+      let size = 2 * 1024 * 1024 in
+      write_out a f (bytes_pat size 19);
+      let unit = 65536 in
+      ignore (pieces_of a f ~off:0 ~len:unit);
+      (* b's write revokes a's lock: a invalidates its cache of the
+         file and forgets its read-ahead predictor. *)
+      Fs.write b f ~off:(size - 4096) (Bytes.make 4096 'B');
+      (* a's next read continues its sequential stream, but fetches
+         only the inode sector and its own 64 KB... *)
+      let after_revoke = pieces_of a f ~off:unit ~len:unit in
+      (* ...while a revoke-free sequential read opens the full 512 KB
+         window again. *)
+      let next = pieces_of a f ~off:(2 * unit) ~len:unit in
+      Alcotest.(check bool)
+        (Printf.sprintf "only its own blocks after revoke (%d pieces)" after_revoke)
+        true (after_revoke <= 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "full window once revoke-free (%d pieces)" next)
+        true (next >= 8))
+
+let test_uncontended_read_ahead_unchanged () =
+  Sim.run (fun () ->
+      let _, fs = one () in
+      let f = Fs.create fs ~dir:Fs.root "stream" in
+      let size = 8 * 1024 * 1024 in
+      write_out fs f (bytes_pat size 23);
+      let p0 = read_pieces fs in
+      for i = 0 to (size / 65536) - 1 do
+        ignore (Fs.read fs f ~off:(i * 65536) ~len:65536)
+      done;
+      Sim.sleep (Sim.sec 1.0);
+      (* A stream no revoke interrupts keeps every prefetch window:
+         one piece per 64 KB plus the inode sector, as before. *)
+      Alcotest.(check int) "Petal read pieces of an 8 MB stream" 129
+        (read_pieces fs - p0))
+
 (* --- replica failure during a batched read ---------------------------------- *)
 
 let test_dead_replica_batched_read () =
@@ -264,5 +317,9 @@ let () =
             test_batched_beats_serial;
           Alcotest.test_case "read-ahead table bounded" `Quick
             test_read_ahead_table_bounded;
+          Alcotest.test_case "no read-ahead after invalidating revoke" `Quick
+            test_no_read_ahead_after_invalidation;
+          Alcotest.test_case "uncontended read-ahead unchanged" `Quick
+            test_uncontended_read_ahead_unchanged;
         ] );
     ]

@@ -84,6 +84,39 @@ let test_contention_runs () =
       Alcotest.(check bool) "some writes happened" true
         (r.Workloads.Contention.write_mb_per_s > 0.0))
 
+(* Traffic guard for Figure 8's contention: 4 readers stream the shared
+   file while a writer rewrites 64 KB. A reader whose cache was just
+   invalidated fetches only its own blocks, so each read call costs
+   ~2.6 Petal read pieces here; prefetching a window the next revoke
+   discards anyway costs ~7.6. *)
+let test_contention_read_traffic () =
+  Sim.run (fun () ->
+      let t = T.build ~petal_servers:3 ~ndisks:3 ~ngroups:16 () in
+      let writer = V.of_frangipani (T.add_server t ()) in
+      let fss = List.init 4 (fun _ -> T.add_server t ()) in
+      let calls = ref 0 in
+      let readers =
+        List.map
+          (fun fs ->
+            let v = V.of_frangipani fs in
+            { v with V.read = (fun i ~off ~len -> incr calls; v.V.read i ~off ~len) })
+          fss
+      in
+      let pieces () =
+        List.fold_left
+          (fun acc fs -> acc + (Frangipani.Fs.petal_stats fs).Petal.Client.read_pieces)
+          0 fss
+      in
+      let p0 = pieces () in
+      ignore
+        (Workloads.Contention.readers_vs_writer ~reader_vfss:readers
+           ~writer_vfs:writer ~write_bytes:65536 ~duration:(Sim.sec 3.0));
+      let per_call = float_of_int (pieces () - p0) /. float_of_int (max 1 !calls) in
+      Alcotest.(check bool) "readers made progress" true (!calls > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "read pieces per reader call %.2f < 4" per_call)
+        true (per_call < 4.0))
+
 let test_write_write_sharing_runs () =
   Sim.run (fun () ->
       let t = T.build ~petal_servers:3 ~ndisks:3 ~ngroups:16 () in
@@ -108,5 +141,7 @@ let () =
         [
           Alcotest.test_case "readers vs writer" `Quick test_contention_runs;
           Alcotest.test_case "write/write sharing" `Quick test_write_write_sharing_runs;
+          Alcotest.test_case "revoked readers skip read-ahead" `Quick
+            test_contention_read_traffic;
         ] );
     ]
