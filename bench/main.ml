@@ -863,17 +863,17 @@ let scale () =
 (* --- soak: composed-nemesis invariant scenarios ------------------------------------- *)
 
 (* A bench-sized slice of the soak harness (the 20-seed x 1-hour run
-   is test_soak_full.exe): the everything-composed scripted round plus
-   one short seeded round. Counters only — the numbers that matter
-   for the trajectory are how much invariant checking ran and how
-   long the worst hot-chunk cutover took. *)
+   is `test/sweep_full.exe soak`): the everything-composed scripted
+   round plus one short seeded round. Counters only — the numbers
+   that matter for the trajectory are how much invariant checking ran
+   and how long the worst hot-chunk cutover took. *)
 let soak_rows : (string * Workloads.Soak.outcome * float) list ref = ref []
 
 let soak_bench () =
   print_endline hrule;
   print_endline
     "soak: composed-nemesis rounds with continuous invariants (counters; the\n\
-    \ 20-seed x 1-simulated-hour soak is test/test_soak_full.exe)";
+    \ 20-seed x 1-simulated-hour soak is test/sweep_full.exe soak)";
   let module Soak = Workloads.Soak in
   let one name ?duration ?fs_servers spec =
     let t0 = Sys.time () in
@@ -892,7 +892,8 @@ let soak_bench () =
     soak_rows := !soak_rows @ [ (name, o, host) ]
   in
   one "composed_quick" (Soak.Scripted "composed_quick");
-  one "seeded_600s" ~duration:(Sim.sec 600.0) ~fs_servers:16 (Soak.Random 0)
+  one "seeded_600s" ~duration:(Sim.sec 600.0) ~fs_servers:16
+    (Soak.Random (Soak.Composed, 0))
 
 (* --- machine-readable snapshot ------------------------------------------------------ *)
 

@@ -1,16 +1,16 @@
 (** The shared invariant engine of the fault-injection harnesses.
 
-    {!Crashsweep}, {!Partsweep}, {!Reconfsweep} and {!Soak} all argue
-    the same §5–§7 guarantees from different fault families; this
-    module holds the common teeth so every harness checks them the
-    same way:
+    {!Crashsweep} and the {!Soak} scenario engine (with its partition,
+    reconfiguration and composed schedule families) argue the same
+    §4–§8 guarantees from different fault families; this module holds
+    the common teeth so every harness checks them the same way:
 
     - the {e acked-ops-survive} ledger: an operation whose op +
       [Fs.sync] both returned must be readable, bytes intact, from a
       fresh server after everything heals;
     - the settle loops: drain Petal's degraded/push backlog, wait out
       pending transfers and the post-cutover GC, await a log replay on
-      a fresh server after an unclean unmount;
+      a fresh server when no healthy server is left to run it;
     - the §6 freshness probe (no lapsed-stamp write ever applied);
     - the fsck wrapper;
     - a counting check engine that timestamps every violation, so a
@@ -188,7 +188,7 @@ let settle_transfers ?(rounds = 24) servers =
   go rounds;
   (pending_any (), leftover ())
 
-(* After an unclean unmount, wait until a fresh server [fs] has
+(* With no healthy server left, wait until a fresh server [fs] has
    replayed the dead server's log (the lock service's nag has to
    reach it first), then give the replay time to finish. *)
 let await_replay ?(rounds = 36) fs =

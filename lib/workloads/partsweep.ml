@@ -1,150 +1,110 @@
-(** Deterministic partition-sweep harness (the network twin of
-    {!Crashsweep}).
+(** The partition family of the {!Soak} scenario engine: network
+    nemesis schedules over a three-machine Petal/lock cluster and one
+    tracked Frangipani server [a] running a paced, ledger-acked
+    workload.
 
-    One [run] is one complete simulation: a two-server Frangipani
-    cluster (plus three Petal/lock machines) runs a paced, fully
-    deterministic workload on server [a] while a {!Cluster.Netfault}
-    nemesis executes a fault schedule — isolate [a] from the service
-    machines, split the Petal replica set, flap links, drop or delay
-    a fraction of all messages, cut single directions of single
-    links. The schedule always heals; after a settling period the
-    harness drains Petal's resync backlog, remounts a fresh server
-    and checks the §5/§6 guarantees:
-
-    - no write with a lapsed §6 stamp ever reached a disk
-      ([Petal.Server.stale_applied_count] = 0 everywhere),
-    - every acked operation (op + [Fs.sync] returned) survives with
-      its bytes intact,
-    - [degraded_count] drains to 0 after heal,
-    - the volume is fsck-clean.
-
-    Schedules are either scripted (one per named scenario) or
-    generated from a seed; the nemesis PRNG, the simulation RNG and
-    the generator are all seeded, so the same spec replays
-    bit-identically — the sweep checks that too. *)
+    The faults isolate [a] from the service machines, split the Petal
+    replica set, flap links, drop or delay a fraction of all messages,
+    and cut single directions of single links. Every schedule heals;
+    the engine then checks the §5/§6 guarantees — no lapsed-stamp
+    write reached a disk, every acked op survives, the resync backlog
+    drains, the volume is fsck-clean — and, for ["isolate_server"],
+    that the lease really expired and a fresh server replayed [a]'s
+    log. *)
 
 open Simkit
 open Cluster
-module Fs = Frangipani.Fs
+open Schedule
 
-type spec = Scripted of string | Random of int
-
-type outcome = {
-  label : string;
-  acked : int;  (** ops whose op + sync both returned *)
-  failed_ops : int;  (** ops that raised (partition, expiry, ...) *)
-  expired : bool;  (** server [a] took the §6 expiry path *)
-  stale_rejects : int;  (** mutations refused by the §6 stamp check *)
-  stale_applied : int;  (** must be 0: lapsed-stamp writes applied *)
-  nf : Netfault.stats;
-  lost : string list;  (** acked files missing/corrupt after heal *)
-  degraded_left : int;  (** must be 0: undrained resync backlog *)
-  fsck_findings : string list;
-  renew_misses : int;
-  rpc_retries : int;
-  end_ns : int;  (** simulated end time: the determinism fingerprint *)
-}
-
-(* The ledger, settle loops and fsck teeth live in {!Invariants},
-   shared with the other fault harnesses. *)
-let bytes_pat = Invariants.bytes_pat
-let sweep_config = Invariants.sweep_config
-
-(* Addresses the schedules play with. The lock servers are co-located
-   on the Petal machines (Figure 2), so "the service cluster" is one
-   address set. *)
-type roles = { cluster : Net.addr list; a_addr : Net.addr }
-
-(* --- schedules --------------------------------------------------------- *)
-
-(* Times are relative to simulation start; the workload begins at 0
-   and takes >= 40 s, so windows in [2 s, 60 s] overlap live traffic.
-   Every schedule ends with [Netfault.clear]. *)
+(* Times are relative to simulation start; the workload runs until
+   the final [Netfault.clear] at 70 s, so windows in [2 s, 60 s]
+   overlap live traffic. *)
 let scripted_schedule name (r : roles) =
-  let p0 = List.nth r.cluster 0 in
-  let rest = List.tl r.cluster in
-  let cut_cluster nf = Netfault.partition nf [ r.a_addr ] r.cluster in
-  let heal nf = Netfault.heal_all nf in
-  let fin = (Sim.sec 70.0, Netfault.clear) in
+  let a = r.tracked.(0) and p0 = r.petal.(0) in
+  let rest = List.tl (Array.to_list r.petal) in
+  let cut_cluster =
+    ("isolate a from the cluster", fun nf ->
+      Netfault.partition nf [ a ] (Array.to_list r.petal))
+  in
+  let heal = ("heal", Netfault.heal_all) in
+  let clear_shaping = ("clear shaping", Netfault.clear_shaping) in
+  let at t (desc, f) = (s t, desc, f) in
+  let windows evs = { (no_schedule (s 70.0)) with nemesis = evs } in
   match name with
   | "isolate_server" ->
     (* [a] loses everything for 45 s: renewals fail, the lease
        expires, the clerk poisons; recovery replays the dead log. *)
-    [ (Sim.sec 5.0, cut_cluster); (Sim.sec 50.0, heal); fin ]
+    windows [ at 5.0 cut_cluster; at 50.0 heal ]
   | "isolate_brief" ->
     (* 10 s outage, well inside the lease: ops stall and resume. *)
-    [ (Sim.sec 5.0, cut_cluster); (Sim.sec 15.0, heal); fin ]
+    windows [ at 5.0 cut_cluster; at 15.0 heal ]
   | "split_petal" ->
     (* Replica set split: petal0 cannot reach its successor, so
        forwarded writes degrade and resync must drain after heal. *)
-    [
-      (Sim.sec 3.0, fun nf -> Netfault.partition nf [ p0 ] rest);
-      (Sim.sec 40.0, heal);
-      fin;
-    ]
+    windows
+      [
+        at 3.0 ("split petal0", fun nf -> Netfault.partition nf [ p0 ] rest);
+        at 40.0 heal;
+      ]
   | "client_petal0" ->
     (* [a] loses one service machine: piece failover + suspect
        pinning on the Petal side, lock groups owned by petal0 stall
        until heal, renewals keep succeeding via the other two. *)
-    [
-      (Sim.sec 3.0, fun nf -> Netfault.cut nf r.a_addr p0);
-      (Sim.sec 45.0, heal);
-      fin;
-    ]
+    windows
+      [ at 3.0 ("cut a <-> petal0", fun nf -> Netfault.cut nf a p0); at 45.0 heal ]
   | "isolate_petal0" ->
-    [
-      (Sim.sec 3.0, fun nf -> Netfault.isolate nf p0);
-      (Sim.sec 45.0, heal);
-      fin;
-    ]
+    windows
+      [ at 3.0 ("isolate petal0", fun nf -> Netfault.isolate nf p0); at 45.0 heal ]
   | "oneway_to_petal0" ->
     (* Asymmetric: [a]'s datagrams to petal0 vanish, replies and
        grants still flow. *)
-    [
-      (Sim.sec 3.0, fun nf -> Netfault.cut ~oneway:true nf r.a_addr p0);
-      (Sim.sec 45.0, heal);
-      fin;
-    ]
+    windows
+      [
+        at 3.0 ("cut a -> petal0", fun nf -> Netfault.cut ~oneway:true nf a p0);
+        at 45.0 heal;
+      ]
   | "oneway_from_petal0" ->
     (* Asymmetric the other way: petal0 executes requests but its
        replies are lost — retries must not double-apply. *)
-    [
-      (Sim.sec 3.0, fun nf -> Netfault.cut ~oneway:true nf p0 r.a_addr);
-      (Sim.sec 45.0, heal);
-      fin;
-    ]
+    windows
+      [
+        at 3.0 ("cut petal0 -> a", fun nf -> Netfault.cut ~oneway:true nf p0 a);
+        at 45.0 heal;
+      ]
   | "flap" ->
     (* Six 3 s outages, 3 s apart: renewal backoff and request
        retransmission recover each time, no expiry. *)
-    List.concat
-      (List.init 6 (fun i ->
-           let t0 = Sim.sec (5.0 +. (6.0 *. float_of_int i)) in
-           [ (t0, cut_cluster); (t0 + Sim.sec 3.0, heal) ]))
-    @ [ fin ]
+    windows
+      (List.concat
+         (List.init 6 (fun i ->
+              let t0 = 5.0 +. (6.0 *. float_of_int i) in
+              [ at t0 cut_cluster; at (t0 +. 3.0) heal ])))
   | "lossy" ->
     (* 15% of every message dropped for 48 s: retry with backoff
        carries renewals and RPCs through. *)
-    [
-      (Sim.sec 2.0, fun nf -> Netfault.shape ~drop:0.15 nf);
-      (Sim.sec 50.0, fun nf -> Netfault.clear_shaping nf);
-      fin;
-    ]
+    windows
+      [
+        at 2.0 ("15% loss", fun nf -> Netfault.shape ~drop:0.15 nf);
+        at 50.0 clear_shaping;
+      ]
   | "slow" ->
     (* +30 ms / ±20 ms on every message: everything succeeds, later. *)
-    [
-      (Sim.sec 2.0, fun nf -> Netfault.shape ~delay:(Sim.ms 30) ~jitter:(Sim.ms 20) nf);
-      (Sim.sec 50.0, fun nf -> Netfault.clear_shaping nf);
-      fin;
-    ]
+    windows
+      [
+        at 2.0
+          ( "delay 30 ms, jitter 20 ms",
+            fun nf -> Netfault.shape ~delay:(Sim.ms 30) ~jitter:(Sim.ms 20) nf );
+        at 50.0 clear_shaping;
+      ]
   | "lossy_cut" ->
     (* A lossy network and a dead link at the same time. *)
-    [
-      (Sim.sec 2.0, fun nf -> Netfault.shape ~drop:0.10 nf);
-      (Sim.sec 4.0, fun nf -> Netfault.cut nf r.a_addr p0);
-      (Sim.sec 40.0, heal);
-      (Sim.sec 48.0, fun nf -> Netfault.clear_shaping nf);
-      fin;
-    ]
+    windows
+      [
+        at 2.0 ("10% loss", fun nf -> Netfault.shape ~drop:0.10 nf);
+        at 4.0 ("cut a <-> petal0", fun nf -> Netfault.cut nf a p0);
+        at 40.0 heal;
+        at 48.0 clear_shaping;
+      ]
   | _ -> invalid_arg ("partsweep: unknown scripted schedule " ^ name)
 
 let scripted_labels =
@@ -155,170 +115,16 @@ let scripted_labels =
   ]
 
 (* Seed-generated schedules: 2-4 sequential fault windows drawn from
-   the same families as the scripted ones, all healed by ~75 s. *)
+   the same kinds as the scripted ones, all healed by ~140 s. *)
 let random_schedule seed (r : roles) =
   let rng = Random.State.make [| seed; 0x5eed |] in
-  let p_of i = List.nth r.cluster (i mod List.length r.cluster) in
-  let evs = ref [] in
-  let t = ref (Sim.sec 2.0) in
-  let n = 2 + Random.State.int rng 3 in
-  for _ = 1 to n do
-    let start = !t + Sim.ms (Random.State.int rng 4000) in
-    let dur = Sim.sec 3.0 + Sim.ms (Random.State.int rng 27_000) in
-    let ev =
-      match Random.State.int rng 6 with
-      | 0 -> (fun nf -> Netfault.partition nf [ r.a_addr ] r.cluster)
-      | 1 ->
-        let p = p_of (Random.State.int rng 3) in
-        fun nf -> Netfault.cut nf r.a_addr p
-      | 2 ->
-        let p = p_of (Random.State.int rng 3) in
-        let flip = Random.State.bool rng in
-        fun nf ->
-          if flip then Netfault.cut ~oneway:true nf r.a_addr p
-          else Netfault.cut ~oneway:true nf p r.a_addr
-      | 3 ->
-        let p = p_of (Random.State.int rng 3) in
-        fun nf -> Netfault.partition nf [ p ] (List.filter (( <> ) p) r.cluster)
-      | 4 ->
-        let drop = 0.05 +. (float_of_int (Random.State.int rng 15) /. 100.0) in
-        fun nf -> Netfault.shape ~drop nf
-      | _ ->
-        let delay = Sim.ms (5 + Random.State.int rng 40) in
-        let jitter = Sim.ms (Random.State.int rng 20) in
-        fun nf -> Netfault.shape ~delay ~jitter nf
-    in
-    evs := (start + dur, Netfault.clear) :: (start, ev) :: !evs;
-    t := start + dur + Sim.ms 500
-  done;
-  List.sort (fun (t1, _) (t2, _) -> compare t1 t2) !evs
-  @ [ (!t + Sim.sec 5.0, Netfault.clear) ]
-
-(* --- the run ----------------------------------------------------------- *)
-
-let schedule_end evs = List.fold_left (fun acc (t, _) -> max acc t) 0 evs
-
-(* The paced workload: one op per simulated second, each acked by a
-   sync. Deterministic so same-seed runs replay identically. *)
-let nops = 40
-
-let run spec =
-  let label, sim_seed, nf_seed =
-    match spec with
-    | Scripted name -> (name, 42, 42)
-    | Random n -> (Printf.sprintf "random_%d" n, 1000 + n, n)
+  let nemesis, healed =
+    draw_windows rng r
+      ~kinds:
+        [| Isolate_tracked; Cut_tracked; Oneway_tracked; Split_petal;
+           Loss (5, 15); Delay (40, 20) |]
+      ~from:(s 2.0)
+      ~count:(2 + Random.State.int rng 3)
+      ~lead:4000 ~len:(s 3.0) ~spread:27_000 ~gap:(Sim.ms 500)
   in
-  Sim.run ~seed:sim_seed ~until:(Sim.sec 3600.0) (fun () ->
-      Faultpoint.reset ();
-      let t = Testbed.build ~petal_servers:3 ~ndisks:2 ~ngroups:16 () in
-      let a = Testbed.add_server t ~config:sweep_config ~name:"part-a" () in
-      let roles =
-        {
-          cluster = Array.to_list t.lock_addrs;
-          a_addr = Testbed.addr_of t a;
-        }
-      in
-      let evs =
-        match spec with
-        | Scripted name -> scripted_schedule name roles
-        | Random n -> random_schedule n roles
-      in
-      let nf = Netfault.create ~seed:nf_seed t.net in
-      Netfault.schedule nf evs;
-      let led = Invariants.ledger () and failed = ref 0 in
-      let expired = ref false in
-      let dir = Fs.mkdir a ~dir:Fs.root "part" in
-      let wl_done = Sim.Ivar.create () in
-      Sim.spawn (fun () ->
-          let stopped = ref false in
-          for i = 0 to nops - 1 do
-            if not !stopped then begin
-              (try
-                 (* Occasionally destroy the most recently acked file
-                    first (exercises unlink + decommit under the
-                    guard); it is dropped from the acked set before
-                    the attempt, since we never assert absence. *)
-                 if i mod 9 = 5 then
-                   (match Invariants.pop_latest led with
-                   | Some (path, _) ->
-                     Fs.unlink a ~dir (List.nth path (List.length path - 1));
-                     Fs.sync a
-                   | None -> ());
-                 let name = Printf.sprintf "f%02d" i in
-                 let f = Fs.create a ~dir name in
-                 let data = bytes_pat (512 * (1 + (i mod 4))) (100 + i) in
-                 Fs.write a f ~off:0 data;
-                 let final =
-                   if i mod 5 = 2 then begin
-                     Fs.rename a ~sdir:dir name ~ddir:dir (name ^ ".r");
-                     name ^ ".r"
-                   end
-                   else name
-                 in
-                 Fs.sync a;
-                 Invariants.ack led ~path:[ "part"; final ] data
-               with ex ->
-                incr failed;
-                (match Invariants.classify a ex with
-                | Invariants.Expired ->
-                  expired := true;
-                  stopped := true
-                | Invariants.Failed -> ()));
-              if not !stopped then Sim.sleep (Sim.sec 1.0)
-            end
-          done;
-          Sim.Ivar.fill wl_done ());
-      Sim.Ivar.read wl_done;
-      (* Make sure the last heal has been applied, then give lease
-         recovery (expiry + nag + replay) and resync time to settle. *)
-      let horizon = schedule_end evs + Sim.sec 5.0 in
-      if Sim.now () < horizon then Sim.sleep (horizon - Sim.now ());
-      Sim.sleep (Sim.sec 90.0);
-      let petal_servers = t.petal.Petal.Testbed.servers in
-      let degraded_left = Invariants.drain_backlog petal_servers in
-      let renew_misses = (Fs.lease_stats a).Locksvc.Clerk.renew_misses in
-      let rpc_retries = (Fs.net_stats a).Rpc.retries in
-      let clean_unmount =
-        match Fs.unmount a with () -> not !expired | exception _ -> false
-      in
-      (* A fresh server sees the post-heal truth: every acked file
-         must be there with its bytes, and the volume fsck-clean. *)
-      let c = Testbed.add_server t ~name:"part-c" () in
-      (* If [a]'s lease died, its log is replayed by the next live
-         clerk with the table open — which is [c], just now: wait for
-         the lock service's nag to reach it and the replay to finish
-         before judging the volume. *)
-      if not clean_unmount then Invariants.await_replay c;
-      let lost = Invariants.verify led c in
-      let fsck_findings = Invariants.fsck c in
-      let sum f = Invariants.sum f petal_servers in
-      {
-        label;
-        acked = Invariants.acked_count led;
-        failed_ops = !failed;
-        expired = !expired;
-        stale_rejects = sum Petal.Server.stale_reject_count;
-        stale_applied = sum Petal.Server.stale_applied_count;
-        nf = Netfault.stats nf;
-        lost;
-        degraded_left;
-        fsck_findings;
-        renew_misses;
-        rpc_retries;
-        end_ns = Sim.now ();
-      })
-
-(** What an outcome violates; [] = all invariants held. *)
-let failures o =
-  let bad cond msg acc = if cond then msg :: acc else acc in
-  []
-  |> bad (o.lost <> [])
-       (Printf.sprintf "acked ops lost: %s" (String.concat "; " o.lost))
-  |> bad (o.fsck_findings <> [])
-       (Printf.sprintf "fsck: %s" (String.concat "; " o.fsck_findings))
-  |> bad (o.degraded_left <> 0)
-       (Printf.sprintf "degraded backlog not drained: %d" o.degraded_left)
-  |> bad (o.stale_applied <> 0)
-       (Printf.sprintf "expired-stamp writes applied: %d" o.stale_applied)
-  |> bad (o.acked = 0) "no op was ever acked"
-  |> List.rev
+  { (no_schedule (healed + s 5.0)) with nemesis = by_time nemesis }

@@ -1,185 +1,119 @@
-(** Deterministic reconfiguration-sweep harness (the membership twin
-    of {!Partsweep}).
+(** The reconfiguration family of the {!Soak} scenario engine: a
+    five-member Petal cluster starts with members 0, 1, 2 active, one
+    tracked Frangipani server [a] runs a paced, ledger-acked workload,
+    and the engine's reconfiguration driver adds and removes Petal
+    members mid-flight — each change Paxos-agreed, each handoff
+    streamed in the background, each cutover an atomic map-epoch bump.
 
-    One [run] is one complete simulation: a five-member Petal cluster
-    starts with three members active; a Frangipani server [a] runs
-    the paced, fully deterministic {!Partsweep}-style workload while
-    a reconfiguration driver adds and removes Petal members
-    mid-flight — each change Paxos-agreed, each handoff streamed in
-    the background, each cutover an atomic map-epoch bump. Schedules
-    compose the membership changes with a {!Cluster.Netfault} nemesis
+    Schedules compose the membership changes with nemesis windows
     (partitions that isolate the joining member, loss, delay, link
-    cuts) and with {!Simkit.Faultpoint} crashes (a transfer source
-    dies mid-stream, the proposing server dies inside [Add_server],
-    the cutover proposer dies; the victim restarts a few seconds
-    later). After everything heals the harness waits for the final
-    transfer to commit, drains the push backlog, lets the garbage
-    collector empty decommissioned members, remounts a fresh server
-    and checks:
-
-    - every reconfiguration requested was eventually committed and
-      the final map is exactly the expected member set,
-    - every acked operation survives with its bytes intact,
-    - no transfer is left pending and the resync backlog drains,
-    - decommissioned (and otherwise non-owning) members hold zero
-      chunks — nobody can be served stale data from an old owner,
-    - no write with a lapsed §6 stamp ever reached a disk,
-    - the volume is fsck-clean,
-    - the run replays bit-identically from its seeds (the sweep
-      compares whole outcomes, including the simulated end time).
-
-    Schedules are either scripted (one per named scenario) or
-    generated from a seed. *)
+    cuts) and with Petal faultpoint crashes (a transfer source dies
+    mid-stream, the proposing server dies inside [Add_server], the
+    cutover proposer dies; the victim restarts a few seconds later).
+    On top of the engine's generic checks — every requested change
+    commits, the final map is the expected member set, acked data
+    survives a post-cutover write and a fresh-server verify, no chunk
+    is left on a non-owner — the scripted cases assert that a join
+    streams chunks and makes clients re-route, a drain-out is
+    garbage-collected, and three back-to-back changes reach epoch 3. *)
 
 open Simkit
 open Cluster
-module Fs = Frangipani.Fs
+open Schedule
 
-type spec = Scripted of string | Random of int
-
-type reconf_op = Add of int | Remove of int
-
-type crash_spec = {
-  site : string;  (** faultpoint site to arm *)
-  at_hit : int;  (** 1-based hit of that site (counted after enable) *)
-  victim : int;  (** Petal member index whose host crashes *)
-  restart_after : Sim.time;  (** host restarts this long after *)
-}
-
-type schedule = {
-  reconfigs : (Sim.time * reconf_op) list;  (** absolute sim offsets *)
-  nemesis : (Sim.time * (Netfault.t -> unit)) list;
-  crash : crash_spec option;
-}
-
-type outcome = {
-  label : string;
-  acked : int;  (** ops whose op + sync both returned *)
-  failed_ops : int;  (** ops that raised (handoff, nemesis, ...) *)
-  expired : bool;  (** server [a] took the §6 expiry path *)
-  requested : int;  (** reconfigurations the driver asked for *)
-  committed : int;  (** map epochs actually reached *)
-  final_active : int list;  (** member set under the final map *)
-  expected_active : int list;  (** member set the schedule prescribes *)
-  xfer_pushes : int;  (** transfer/resync chunk pushes (cluster-wide) *)
-  xfer_bytes : int;  (** bytes those pushes carried *)
-  wrong_epoch_rejects : int;  (** data requests refused for a stale map *)
-  map_refreshes : int;  (** ownership-map refetches by [a]'s driver *)
-  wrong_epoch_retries : int;  (** pieces re-routed after a reject *)
-  gc_chunks : int;  (** chunks freed off non-owners after cutover *)
-  stale_applied : int;  (** must be 0: lapsed-stamp writes applied *)
-  degraded_left : int;  (** must be 0: undrained push backlog *)
-  leftover_chunks : int;  (** must be 0: chunks still on non-owners *)
-  pending_left : bool;  (** must be false: transfer never committed *)
-  nf : Netfault.stats;
-  lost : string list;  (** acked files missing/corrupt at the end *)
-  fsck_findings : string list;
-  end_ns : int;  (** simulated end time: the determinism fingerprint *)
-}
-
-(* The ledger, settle loops and fsck teeth live in {!Invariants},
-   shared with the other fault harnesses. *)
-let bytes_pat = Invariants.bytes_pat
-let sweep_config = Invariants.sweep_config
-
-(* Addresses the schedules play with. *)
-type roles = { petal : Net.addr array; a_addr : Net.addr }
-
-(* --- schedules --------------------------------------------------------- *)
-
-(* Provisioned members 0..4; members 0,1,2 start active. The workload
-   begins at 0 and takes >= 40 s, so reconfigurations in [4 s, 36 s]
-   and fault windows in [2 s, 45 s] overlap live traffic. Every
-   nemesis schedule ends with [Netfault.clear]. *)
+(* The workload runs until the final [Netfault.clear] at 60 s, so
+   reconfigurations in [4 s, 36 s] and fault windows in [2 s, 45 s]
+   overlap live traffic. *)
 let scripted_schedule name (r : roles) =
-  let fin = (Sim.sec 60.0, Netfault.clear) in
-  let nofault = [ fin ] in
+  let base = { (no_schedule (s 60.0)) with cutover_bound = s 180.0 } in
+  let change ?(nemesis = []) ?crash reconfigs =
+    {
+      base with
+      reconfigs = List.map (fun (t, op) -> (s t, op)) reconfigs;
+      nemesis = List.map (fun (t, desc, f) -> (s t, desc, f)) nemesis;
+      petal_crashes = Option.to_list crash;
+    }
+  in
+  let isolate t i =
+    ( t,
+      Printf.sprintf "isolate petal %d" i,
+      fun nf -> Netfault.isolate nf r.petal.(i) )
+  in
+  let heal t = (t, "heal", Netfault.heal_all) in
+  let clear_shaping t = (t, "clear shaping", Netfault.clear_shaping) in
+  let crash site ~at_hit ~victim restart =
+    { site; at_hit; victim; restart_after = s restart }
+  in
   match name with
   | "add_plain" ->
     (* One standby joins on a healthy network: background stream,
        atomic cutover, clients re-route via [Wrong_epoch]. *)
-    { reconfigs = [ (Sim.sec 6.0, Add 3) ]; nemesis = nofault; crash = None }
+    change [ (6.0, Add 3) ]
   | "remove_plain" ->
     (* One member drains out; its whole store must migrate and then
        be garbage-collected off it. *)
-    { reconfigs = [ (Sim.sec 6.0, Remove 0) ]; nemesis = nofault; crash = None }
-  | "add_then_remove" ->
-    { reconfigs = [ (Sim.sec 5.0, Add 3); (Sim.sec 30.0, Remove 1) ];
-      nemesis = nofault; crash = None }
+    change [ (6.0, Remove 0) ]
+  | "add_then_remove" -> change [ (5.0, Add 3); (30.0, Remove 1) ]
   | "back_to_back" ->
-    (* The second proposal lands while the first handoff may still be
-       pending: the cluster must serialize them (driver retries the
-       rejected proposal until the pending transfer commits). *)
-    { reconfigs =
-        [ (Sim.sec 4.0, Add 3); (Sim.sec 18.0, Add 4); (Sim.sec 34.0, Remove 0) ];
-      nemesis = nofault; crash = None }
+    (* Three changes in quick succession: the cluster must serialize
+       them, each handoff committing before the next is proposed. *)
+    change [ (4.0, Add 3); (18.0, Add 4); (34.0, Remove 0) ]
   | "add_joiner_partitioned" ->
     (* The joining member is partitioned from everyone mid-transfer:
        pushes to it fail (sources stay degraded), the cutover is held
        back until the heal, then the handoff completes. *)
-    { reconfigs = [ (Sim.sec 5.0, Add 3) ];
-      nemesis =
-        [ (Sim.sec 8.0, fun nf -> Netfault.isolate nf r.petal.(3));
-          (Sim.sec 28.0, fun nf -> Netfault.heal_all nf); fin ];
-      crash = None }
+    change ~nemesis:[ isolate 8.0 3; heal 28.0 ] [ (5.0, Add 3) ]
   | "add_joiner_dark_start" ->
     (* The member is already unreachable when it is proposed. *)
-    { reconfigs = [ (Sim.sec 6.0, Add 3) ];
-      nemesis =
-        [ (Sim.sec 2.0, fun nf -> Netfault.isolate nf r.petal.(3));
-          (Sim.sec 24.0, fun nf -> Netfault.heal_all nf); fin ];
-      crash = None }
+    change ~nemesis:[ isolate 2.0 3; heal 24.0 ] [ (6.0, Add 3) ]
   | "remove_under_loss" ->
     (* 12% of every message dropped while a member drains out. *)
-    { reconfigs = [ (Sim.sec 6.0, Remove 2) ];
-      nemesis =
-        [ (Sim.sec 2.0, fun nf -> Netfault.shape ~drop:0.12 nf);
-          (Sim.sec 40.0, fun nf -> Netfault.clear_shaping nf); fin ];
-      crash = None }
+    change
+      ~nemesis:
+        [
+          (2.0, "12% loss", fun nf -> Netfault.shape ~drop:0.12 nf);
+          clear_shaping 40.0;
+        ]
+      [ (6.0, Remove 2) ]
   | "add_under_delay" ->
-    { reconfigs = [ (Sim.sec 6.0, Add 4) ];
-      nemesis =
-        [ (Sim.sec 2.0,
-           fun nf -> Netfault.shape ~delay:(Sim.ms 25) ~jitter:(Sim.ms 15) nf);
-          (Sim.sec 40.0, fun nf -> Netfault.clear_shaping nf); fin ];
-      crash = None }
+    change
+      ~nemesis:
+        [
+          ( 2.0,
+            "delay 25 ms, jitter 15 ms",
+            fun nf -> Netfault.shape ~delay:(Sim.ms 25) ~jitter:(Sim.ms 15) nf );
+          clear_shaping 40.0;
+        ]
+      [ (6.0, Add 4) ]
   | "flap_during_add" ->
     (* An old owner flaps three times while the handoff streams. *)
-    { reconfigs = [ (Sim.sec 5.0, Add 3) ];
-      nemesis =
-        List.concat
-          (List.init 3 (fun i ->
-               let t0 = Sim.sec (7.0 +. (6.0 *. float_of_int i)) in
-               [ (t0, fun nf -> Netfault.isolate nf r.petal.(0));
-                 (t0 + Sim.sec 3.0, fun nf -> Netfault.heal_all nf) ]))
-        @ [ fin ];
-      crash = None }
+    change
+      ~nemesis:
+        (List.concat
+           (List.init 3 (fun i ->
+                let t0 = 7.0 +. (6.0 *. float_of_int i) in
+                [ isolate t0 0; heal (t0 +. 3.0) ])))
+      [ (5.0, Add 3) ]
   | "owner_dies_mid_transfer" ->
     (* A transfer source crashes between pushes; the other old owner
        carries the handoff, the victim restarts and catches up. *)
-    { reconfigs = [ (Sim.sec 5.0, Add 3) ];
-      nemesis = nofault;
-      crash =
-        Some { site = "petal.resync_push"; at_hit = 3; victim = 0;
-               restart_after = Sim.sec 12.0 } }
+    change
+      ~crash:(crash "petal.resync_push" ~at_hit:3 ~victim:0 12.0)
+      [ (5.0, Add 3) ]
   | "proposer_dies_mid_add" ->
     (* The server handling the management RPC crashes after receiving
        it but before proposing: the client times out and re-issues
        through the next member (idempotent at apply). *)
-    { reconfigs = [ (Sim.sec 5.0, Add 3) ];
-      nemesis = nofault;
-      crash =
-        Some { site = "petal.mgmt_propose"; at_hit = 1; victim = 0;
-               restart_after = Sim.sec 10.0 } }
+    change
+      ~crash:(crash "petal.mgmt_propose" ~at_hit:1 ~victim:0 10.0)
+      [ (5.0, Add 3) ]
   | "cutover_proposer_dies" ->
     (* A member crashes at the instant the drained transfer is first
        proposed for cutover; every member polls independently, so a
        survivor's duplicate proposal commits it. *)
-    { reconfigs = [ (Sim.sec 5.0, Add 3) ];
-      nemesis = nofault;
-      crash =
-        Some { site = "petal.cutover_propose"; at_hit = 1; victim = 1;
-               restart_after = Sim.sec 10.0 } }
+    change
+      ~crash:(crash "petal.cutover_propose" ~at_hit:1 ~victim:1 10.0)
+      [ (5.0, Add 3) ]
   | _ -> invalid_arg ("reconfsweep: unknown scripted schedule " ^ name)
 
 let scripted_labels =
@@ -190,313 +124,41 @@ let scripted_labels =
     "proposer_dies_mid_add"; "cutover_proposer_dies";
   ]
 
-(* The member set a schedule must end with (assuming, as the sweep
-   asserts, that every requested reconfiguration commits). *)
-let expected_active_of sched =
-  List.fold_left
-    (fun acc (_, op) ->
-      match op with
-      | Add i -> List.sort_uniq compare (i :: acc)
-      | Remove i -> List.filter (( <> ) i) acc)
-    [ 0; 1; 2 ] sched.reconfigs
-
 (* Seed-generated schedules: 1-2 membership changes spaced far enough
-   apart to serialize naturally, 0-2 nemesis windows from the
-   {!Partsweep} families, and a fifty-fifty chance of one crash at a
-   seeded faultpoint hit with a restart a few seconds later. *)
+   apart to serialize naturally, 0-2 nemesis windows, and a
+   fifty-fifty chance of one crash at a seeded faultpoint hit with a
+   restart a few seconds later. *)
 let random_schedule seed (r : roles) =
   let rng = Random.State.make [| seed; 0xc0f; 0x5eed |] in
   let active = ref [ 0; 1; 2 ] and standby = ref [ 3; 4 ] in
   let reconfigs = ref [] in
-  let t = ref (Sim.sec 4.0) in
-  let n = 1 + Random.State.int rng 2 in
-  for _ = 1 to n do
+  let t = ref (s 4.0) in
+  for _ = 1 to 1 + Random.State.int rng 2 do
     let at = !t + Sim.ms (Random.State.int rng 6000) in
-    let op =
-      let can_add = !standby <> [] and can_rm = List.length !active > 2 in
-      if can_add && ((not can_rm) || Random.State.bool rng) then begin
-        let i = List.nth !standby (Random.State.int rng (List.length !standby)) in
-        standby := List.filter (( <> ) i) !standby;
-        active := List.sort_uniq compare (i :: !active);
-        Add i
-      end
-      else begin
-        let i = List.nth !active (Random.State.int rng (List.length !active)) in
-        active := List.filter (( <> ) i) !active;
-        standby := List.sort_uniq compare (i :: !standby);
-        Remove i
-      end
-    in
-    reconfigs := (at, op) :: !reconfigs;
-    t := at + Sim.sec 14.0 + Sim.ms (Random.State.int rng 8000)
+    reconfigs := (at, draw_reconf rng ~min_active:2 active standby) :: !reconfigs;
+    t := at + s 14.0 + Sim.ms (Random.State.int rng 8000)
   done;
-  let evs = ref [] in
-  let wt = ref (Sim.sec 3.0) in
-  let nw = Random.State.int rng 3 in
-  for _ = 1 to nw do
-    let start = !wt + Sim.ms (Random.State.int rng 5000) in
-    let dur = Sim.sec 3.0 + Sim.ms (Random.State.int rng 15_000) in
-    let ev =
-      match Random.State.int rng 5 with
-      | 0 ->
-        let p = r.petal.(Random.State.int rng 5) in
-        fun nf -> Netfault.isolate nf p
-      | 1 ->
-        let p = r.petal.(Random.State.int rng 5) in
-        fun nf -> Netfault.cut nf r.a_addr p
-      | 2 ->
-        let i = Random.State.int rng 5 in
-        let j = (i + 1 + Random.State.int rng 4) mod 5 in
-        fun nf -> Netfault.cut nf r.petal.(i) r.petal.(j)
-      | 3 ->
-        let drop = 0.05 +. (float_of_int (Random.State.int rng 12) /. 100.0) in
-        fun nf -> Netfault.shape ~drop nf
-      | _ ->
-        let delay = Sim.ms (5 + Random.State.int rng 30) in
-        let jitter = Sim.ms (Random.State.int rng 15) in
-        fun nf -> Netfault.shape ~delay ~jitter nf
-    in
-    evs := (start + dur, Netfault.clear) :: (start, ev) :: !evs;
-    wt := start + dur + Sim.sec 1.0
-  done;
-  let nemesis =
-    List.sort (fun (t1, _) (t2, _) -> compare t1 t2) !evs
-    @ [ (Sim.sec 60.0, Netfault.clear) ]
+  let nemesis, _ =
+    draw_windows rng r
+      ~kinds:
+        [| Isolate_petal; Cut_tracked; Cut_petals; Loss (5, 12); Delay (30, 15) |]
+      ~from:(s 3.0)
+      ~count:(Random.State.int rng 3)
+      ~lead:5000 ~len:(s 3.0) ~spread:15_000 ~gap:(s 1.0)
   in
-  let crash =
-    if Random.State.int rng 2 = 0 then None
+  let petal_crashes =
+    if Random.State.int rng 2 = 0 then []
     else
-      let sites =
-        [| "petal.resync_push"; "petal.chunk_write"; "petal.mgmt_propose";
-           "petal.cutover_propose" |]
-      in
-      Some
-        { site = sites.(Random.State.int rng (Array.length sites));
-          at_hit = 1 + Random.State.int rng 6;
-          victim = Random.State.int rng 5;
-          restart_after = Sim.sec 8.0 + Sim.ms (Random.State.int rng 8000) }
+      let site = crash_sites.(Random.State.int rng (Array.length crash_sites)) in
+      let at_hit = 1 + Random.State.int rng 6 in
+      let victim = Random.State.int rng 5 in
+      let restart_after = s 8.0 + Sim.ms (Random.State.int rng 8000) in
+      [ { site; at_hit; victim; restart_after } ]
   in
-  { reconfigs = List.rev !reconfigs; nemesis; crash }
-
-(* --- the run ----------------------------------------------------------- *)
-
-let schedule_end evs = List.fold_left (fun acc (t, _) -> max acc t) 0 evs
-
-(* The paced workload: one op per simulated second, each acked by a
-   sync. Deterministic so same-seed runs replay identically. *)
-let nops = 40
-
-let run spec =
-  let label, sim_seed, nf_seed =
-    match spec with
-    | Scripted name -> (name, 42, 42)
-    | Random n -> (Printf.sprintf "random_%d" n, 2000 + n, n)
-  in
-  Sim.run ~seed:sim_seed ~until:(Sim.sec 3600.0) (fun () ->
-      Faultpoint.reset ();
-      let t =
-        Testbed.build ~petal_servers:5 ~petal_active:3 ~ndisks:2 ~ngroups:16 ()
-      in
-      let a = Testbed.add_server t ~config:sweep_config ~name:"reconf-a" () in
-      let roles =
-        { petal = t.petal.Petal.Testbed.addrs; a_addr = Testbed.addr_of t a }
-      in
-      let sched =
-        match spec with
-        | Scripted name -> scripted_schedule name roles
-        | Random n -> random_schedule n roles
-      in
-      let nf = Netfault.create ~seed:nf_seed t.net in
-      Netfault.schedule nf sched.nemesis;
-      (match sched.crash with
-      | None -> ()
-      | Some c ->
-        Faultpoint.arm_site c.site ~at:c.at_hit
-          (Faultpoint.Crash
-             (fun _site ->
-               let h = t.petal.Petal.Testbed.hosts.(c.victim) in
-               if Host.is_alive h then begin
-                 Host.crash h;
-                 ignore
-                   (Sim.Timer.after c.restart_after (fun () -> Host.restart h))
-               end)));
-      Faultpoint.enable ();
-      (* The reconfiguration driver: its own machine, talking straight
-         to the Petal cluster. A proposal rejected because another
-         handoff is still pending (or lost to the nemesis) is retried
-         every 2 s until the cluster takes it. *)
-      let _, drv_rpc = Testbed.fresh_client t "reconf-drv" in
-      let pc = Petal.Testbed.client t.petal ~rpc:drv_rpc in
-      let requested = ref 0 in
-      let committed = ref 0 in
-      let reconf_done = Sim.Ivar.create () in
-      Sim.spawn (fun () ->
-          List.iter
-            (fun (at, op) ->
-              if Sim.now () < at then Sim.sleep (at - Sim.now ());
-              incr requested;
-              let propose () =
-                match op with
-                | Add i -> Petal.Client.add_server pc ~idx:i
-                | Remove i -> Petal.Client.remove_server pc ~idx:i
-              in
-              let rec attempt n =
-                match propose () with
-                | () -> ()
-                | exception (Failure _ | Petal.Protocol.Unavailable _)
-                  when n > 0 ->
-                  Sim.sleep (Sim.sec 2.0);
-                  attempt (n - 1)
-              in
-              attempt 120)
-            sched.reconfigs;
-          (* Wait for the last handoff to commit (bounded: a cutover
-             stuck past this shows up as [pending_left]). *)
-          let want = List.length sched.reconfigs in
-          let rec await n =
-            let ep, _ = Petal.Client.fetch_map pc in
-            committed := ep;
-            if ep < want && n > 0 then begin
-              Sim.sleep (Sim.sec 2.0);
-              await (n - 1)
-            end
-          in
-          await 240;
-          Sim.Ivar.fill reconf_done ());
-      let led = Invariants.ledger () and failed = ref 0 in
-      let expired = ref false in
-      let dir = Fs.mkdir a ~dir:Fs.root "reconf" in
-      let wl_done = Sim.Ivar.create () in
-      Sim.spawn (fun () ->
-          let stopped = ref false in
-          for i = 0 to nops - 1 do
-            if not !stopped then begin
-              (try
-                 (* Occasionally destroy the most recently acked file
-                    first (unlink + decommit race the handoff); it is
-                    dropped from the acked set before the attempt,
-                    since we never assert absence. *)
-                 if i mod 9 = 5 then
-                   (match Invariants.pop_latest led with
-                   | Some (path, _) ->
-                     Fs.unlink a ~dir (List.nth path (List.length path - 1));
-                     Fs.sync a
-                   | None -> ());
-                 let name = Printf.sprintf "f%02d" i in
-                 let f = Fs.create a ~dir name in
-                 let data = bytes_pat (512 * (1 + (i mod 4))) (100 + i) in
-                 Fs.write a f ~off:0 data;
-                 let final =
-                   if i mod 5 = 2 then begin
-                     Fs.rename a ~sdir:dir name ~ddir:dir (name ^ ".r");
-                     name ^ ".r"
-                   end
-                   else name
-                 in
-                 Fs.sync a;
-                 Invariants.ack led ~path:[ "reconf"; final ] data
-               with ex ->
-                incr failed;
-                (match Invariants.classify a ex with
-                | Invariants.Expired ->
-                  expired := true;
-                  stopped := true
-                | Invariants.Failed -> ()));
-              if not !stopped then Sim.sleep (Sim.sec 1.0)
-            end
-          done;
-          Sim.Ivar.fill wl_done ());
-      Sim.Ivar.read wl_done;
-      Sim.Ivar.read reconf_done;
-      (* Outlive the nemesis schedule and any crash restart, then give
-         lease recovery and the handoff machinery time to settle. *)
-      let horizon = schedule_end sched.nemesis + Sim.sec 5.0 in
-      if Sim.now () < horizon then Sim.sleep (horizon - Sim.now ());
-      Sim.sleep (Sim.sec 90.0);
-      let petal_servers = t.petal.Petal.Testbed.servers in
-      let sum f = Invariants.sum f petal_servers in
-      let degraded_left = Invariants.drain_backlog petal_servers in
-      (* Let the GC empty decommissioned members and wait out any
-         still-pending transfer. *)
-      let pending_left, leftover_chunks =
-        Invariants.settle_transfers petal_servers
-      in
-      (* One more write through the original driver now that the map
-         has settled: its cached routing map predates any committed
-         cutover, so this op deterministically exercises the client's
-         [Wrong_epoch] refresh-and-retry path — and the file joins the
-         acked set, so the final verify also proves a post-cutover
-         write lands on the new owners. *)
-      (if (not !expired) && !committed > 0 then
-         try
-           let dir = Fs.lookup a ~dir:Fs.root "reconf" in
-           let f = Fs.create a ~dir "post" in
-           let data = bytes_pat 768 99 in
-           Fs.write a f ~off:0 data;
-           Fs.sync a;
-           Invariants.ack led ~path:[ "reconf"; "post" ] data
-         with _ -> ());
-      let final_active =
-        let _, act = Petal.Client.fetch_map pc in
-        act
-      in
-      let a_stats = Petal.Client.op_stats a.Frangipani.Ctx.vd in
-      let clean_unmount =
-        match Fs.unmount a with () -> not !expired | exception _ -> false
-      in
-      (* A fresh server starts from the build-time map, so its first
-         reads exercise the [Wrong_epoch] refresh path for real; it
-         must see every acked file and a fsck-clean volume. *)
-      let c = Testbed.add_server t ~name:"reconf-c" () in
-      if not clean_unmount then Invariants.await_replay c;
-      let lost = Invariants.verify led c in
-      let fsck_findings = Invariants.fsck c in
-      {
-        label;
-        acked = Invariants.acked_count led;
-        failed_ops = !failed;
-        expired = !expired;
-        requested = !requested;
-        committed = !committed;
-        final_active;
-        expected_active = expected_active_of sched;
-        xfer_pushes = sum Petal.Server.xfer_push_count;
-        xfer_bytes = sum Petal.Server.xfer_bytes_pushed;
-        wrong_epoch_rejects = sum Petal.Server.wrong_epoch_count;
-        map_refreshes = a_stats.Petal.Client.map_refreshes;
-        wrong_epoch_retries = a_stats.Petal.Client.wrong_epoch_retries;
-        gc_chunks = sum Petal.Server.gc_chunk_count;
-        stale_applied = sum Petal.Server.stale_applied_count;
-        degraded_left;
-        leftover_chunks;
-        pending_left;
-        nf = Netfault.stats nf;
-        lost;
-        fsck_findings;
-        end_ns = Sim.now ();
-      })
-
-(** What an outcome violates; [] = all invariants held. *)
-let failures o =
-  let bad cond msg acc = if cond then msg :: acc else acc in
-  let set l = String.concat "," (List.map string_of_int l) in
-  []
-  |> bad (o.lost <> [])
-       (Printf.sprintf "acked ops lost: %s" (String.concat "; " o.lost))
-  |> bad (o.fsck_findings <> [])
-       (Printf.sprintf "fsck: %s" (String.concat "; " o.fsck_findings))
-  |> bad (o.committed <> o.requested)
-       (Printf.sprintf "reconfigurations requested %d but committed %d"
-          o.requested o.committed)
-  |> bad (o.final_active <> o.expected_active)
-       (Printf.sprintf "final map {%s} but expected {%s}" (set o.final_active)
-          (set o.expected_active))
-  |> bad o.pending_left "a transfer never committed"
-  |> bad (o.degraded_left <> 0)
-       (Printf.sprintf "push backlog not drained: %d" o.degraded_left)
-  |> bad (o.leftover_chunks <> 0)
-       (Printf.sprintf "chunks left on non-owning members: %d" o.leftover_chunks)
-  |> bad (o.stale_applied <> 0)
-       (Printf.sprintf "expired-stamp writes applied: %d" o.stale_applied)
-  |> bad (o.acked = 0) "no op was ever acked"
-  |> List.rev
+  {
+    (no_schedule (s 60.0)) with
+    reconfigs = List.rev !reconfigs;
+    nemesis = by_time nemesis;
+    petal_crashes;
+    cutover_bound = s 180.0;
+  }

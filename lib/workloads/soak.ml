@@ -1,75 +1,64 @@
-(** Long-horizon soak harness: hours of simulated time on a full-size
-    cluster with every fault family composed, and invariants checked
-    continuously instead of only at the end.
+(** The scenario engine of the fault harnesses: one [run] plays a
+    {!Schedule.schedule} against a cluster and checks the §4–§8
+    guarantees continuously, not only at the end.
 
-    One [run] builds a 32-server Frangipani cluster over an 8-member
-    Petal cluster (6 active), then lets a seeded orchestrator overlap,
-    round after round:
+    A spec names a schedule: a scripted label, or a family and a seed.
+    The three families fix their cluster shape and produce schedules
+    from a table of labels plus a seeded generator:
 
+    - {!Partsweep} (partition): network nemesis windows around one
+      tracked server on a three-machine Petal/lock cluster;
+    - {!Reconfsweep} (reconf): Petal add/remove on a 5-member cluster
+      with 3 active, composed with nemesis windows and faultpoint
+      crashes;
+    - composed (this module's own tables, the soak): hours of
+      simulated time on a 32-server Frangipani cluster over an
+      8-member Petal cluster (6 active), every fault family
+      overlapped round after round.
+
+    A run overlaps, as its schedule asks:
+
+    - paced, ledger-acked workloads on the tracked servers and on a
+      few crash victims;
     - the multi-tenant Zipf workload ({!Multitenant}) as ambient
-      traffic on a rotating subset of servers, shielded so it degrades
-      under faults instead of dying;
-    - paced, ledger-acked workloads on a handful of tracked servers;
+      traffic on a rotating subset of the remaining servers, shielded
+      so it degrades under faults instead of dying;
     - {!Cluster.Netfault} windows (isolation, link cuts, loss, delay);
     - Frangipani server crashes with a bounded-recovery monitor (some
       live server must replay the victim's log within 300 s);
     - Petal server crashes armed at {!Simkit.Faultpoint} sites;
-    - Petal add/remove reconfigurations, including one round where a
-      hot-chunk writer hammers moving chunks through the whole handoff
-      — the soak asserts the cutover still commits within a bound,
-      which is exactly what the drain-time write freeze
-      ({!Petal.Server}) exists to guarantee;
+    - Petal add/remove reconfigurations, including hot-chunk writers
+      hammering moving chunks through the whole handoff — the engine
+      asserts the cutover still commits within a bound, which is
+      exactly what the drain-time write freeze ({!Petal.Server})
+      exists to guarantee;
     - §8 snapshot barriers: taken mid-flight, mounted read-only and
       spot-checked against the acked ledger, then deleted (snapshots
       pin reconfiguration, so the delete also re-enables it);
     - log-pressure phases: bursts of unsynced metadata churn that fill
       the 128 KB WAL and force reclaim stalls.
 
-    Roughly every ten simulated minutes the orchestrator quiesces the
-    workloads and runs a checkpoint: backlog drained, no transfer
-    pending, no chunk left on a non-owner, no expired-stamp write
-    applied, a sample of the acked ledger readable bytes-intact, and
-    the volume fsck-clean. Violations are recorded with their
-    simulated time ({!Invariants.engine}), so a failing seed reports
-    {e when} an invariant first broke — and [debug_soak] replays it
-    bit-identically from the label alone.
+    At each quiesce checkpoint the engine pauses the workloads and
+    checks: backlog drained, no transfer pending, no chunk left on a
+    non-owner, no expired-stamp write applied, a sample of the acked
+    ledger readable bytes-intact, and the volume fsck-clean.
+    Violations are recorded with their simulated time
+    ({!Invariants.engine}). When the schedule ends the engine settles
+    the cluster, makes one post-cutover write, and verifies the whole
+    ledger plus fsck through a fresh server. A failing spec replays
+    bit-identically from its label alone.
 
-    Scripted schedules pin down the freeze protocol itself:
-    ["hot_cutover"] (bounded cutover under a sustained hot writer),
-    ["freeze_retry"] (a frozen raw writer rides through invisibly),
-    ["snap_during_reconf"] / ["reconf_during_snap"] (the CoW-epoch vs
-    transfer-epoch interlock composes in both orders), and
+    The composed scripted schedules pin down the freeze protocol
+    itself: ["hot_cutover"] (bounded cutover under a sustained hot
+    writer), ["freeze_retry"] (a frozen raw writer rides through
+    invisibly), ["snap_during_reconf"] / ["reconf_during_snap"] (the
+    CoW-epoch vs transfer-epoch interlock composes in both orders), and
     ["composed_quick"] (one full random-style round). *)
 
 open Simkit
 open Cluster
 module Fs = Frangipani.Fs
-
-type spec = Scripted of string | Random of int
-
-type reconf_op = Add of int | Remove of int
-
-type crash_spec = {
-  site : string;  (** faultpoint site to arm *)
-  at_hit : int;  (** 1-based hit of that site (counted after enable) *)
-  victim : int;  (** Petal member index whose host crashes *)
-  restart_after : Sim.time;
-}
-
-type schedule = {
-  duration : Sim.time;  (** workloads stop at this simulated offset *)
-  reconfigs : (Sim.time * reconf_op) list;
-  nemesis : (Sim.time * string * (Netfault.t -> unit)) list;
-  fs_crashes : Sim.time list;  (** k-th entry crashes the k-th victim server *)
-  petal_crashes : crash_spec list;
-  snapshots : Sim.time list;  (** barrier + ro-mount check + delete *)
-  pressure : Sim.time list;  (** WAL log-pressure burst start times *)
-  hot : (Sim.time * Sim.time) option;  (** FS hot-chunk writer window *)
-  raw_hot : (Sim.time * Sim.time) option;  (** raw-Petal hot writer window *)
-  ambient : (Sim.time * int) list;  (** (start, round index) *)
-  checkpoints : Sim.time list;
-  cutover_bound : Sim.time;  (** max allowed pending->commit latency *)
-}
+include Schedule
 
 type outcome = {
   label : string;
@@ -95,6 +84,12 @@ type outcome = {
   log_pressure_stalls : int;
   wal_reclaims : int;  (** reclaim rounds (the pressure phases' footprint) *)
   replays : int;  (** recovery replays run cluster-wide *)
+  renew_misses : int;  (** lease renewals that failed, all servers *)
+  rpc_retries : int;  (** RPC retransmissions, all servers *)
+  xfer_pushes : int;  (** transfer/resync chunk pushes, all Petal members *)
+  wrong_epoch_rejects : int;  (** data requests refused for a stale map *)
+  map_refreshes : int;  (** ownership-map refetches, all servers *)
+  gc_chunks : int;  (** chunks freed off non-owners after cutover *)
   ambient_ops : int;
   ambient_failed : int;  (** shielded ambient ops that failed under faults *)
   checks_run : int;
@@ -112,41 +107,57 @@ type outcome = {
   end_ns : int;  (** the determinism fingerprint *)
 }
 
-let sweep_config = Invariants.sweep_config
+(* --- families ------------------------------------------------------------ *)
 
-(* Addresses the schedules play with. *)
-type roles = { petal : Net.addr array; tracked : Net.addr array }
+(** The cluster a family's schedules run on. Members
+    [0 .. petal_active - 1] start active; the rest are standbys. The
+    first [tracked] Frangipani servers run paced, ledger-acked
+    workloads; with [victims] a quarter of the rest (1..7) are paced
+    crash victims and the remainder an ambient pool. *)
+type shape = {
+  petal_servers : int;
+  petal_active : int;
+  ngroups : int;
+  disk_capacity : int;
+  tracked : int;
+  pace : Sim.time;  (** tracked workers' think time between ops *)
+  victims : bool;
+}
 
-let s = Sim.sec
+let shape_of = function
+  | Partition ->
+    { petal_servers = 3; petal_active = 3; ngroups = 16;
+      disk_capacity = 64 * 1024 * 1024; tracked = 1; pace = s 1.0;
+      victims = false }
+  | Reconf ->
+    { petal_servers = 5; petal_active = 3; ngroups = 16;
+      disk_capacity = 64 * 1024 * 1024; tracked = 1; pace = s 1.0;
+      victims = false }
+  | Composed ->
+    { petal_servers = 8; petal_active = 6; ngroups = 100;
+      disk_capacity = 256 * 1024 * 1024; tracked = 3; pace = s 2.0;
+      victims = true }
 
-(* --- schedules --------------------------------------------------------- *)
+let family_name = function
+  | Partition -> "partition"
+  | Reconf -> "reconf"
+  | Composed -> "soak"
 
-(* Provisioned Petal members 0..7; 0..5 start active. *)
-let initial_active = [ 0; 1; 2; 3; 4; 5 ]
+let families = [ Partition; Reconf; Composed ]
 
-let expected_active_of sched =
+let initial_active shape = List.init shape.petal_active Fun.id
+
+(* The member set a schedule must end with, given that (as [failures]
+   asserts) every requested reconfiguration commits. *)
+let expected_active_of shape sched =
   List.fold_left
     (fun acc (_, op) ->
       match op with
       | Add i -> List.sort_uniq compare (i :: acc)
       | Remove i -> List.filter (( <> ) i) acc)
-    initial_active sched.reconfigs
+    (initial_active shape) sched.reconfigs
 
-let no_schedule duration =
-  {
-    duration;
-    reconfigs = [];
-    nemesis = [];
-    fs_crashes = [];
-    petal_crashes = [];
-    snapshots = [];
-    pressure = [];
-    hot = None;
-    raw_hot = None;
-    ambient = [];
-    checkpoints = [];
-    cutover_bound = s 60.0;
-  }
+(* --- the composed family's schedules ------------------------------------- *)
 
 let scripted_schedule name (r : roles) =
   match name with
@@ -251,7 +262,8 @@ let random_schedule seed ~duration (r : roles) =
   let rng = Random.State.make [| seed; 0x50ac; 0x5eed |] in
   let rounds = max 1 (duration / round_len) in
   let duration = rounds * round_len in
-  let active = ref initial_active and standby = ref [ 6; 7 ] in
+  let active = ref (initial_active (shape_of Composed))
+  and standby = ref [ 6; 7 ] in
   let hot_round = Random.State.int rng rounds in
   let reconfigs = ref []
   and nemesis = ref []
@@ -265,66 +277,20 @@ let random_schedule seed ~duration (r : roles) =
     let r0 = round * round_len in
     ambient := (r0 + s 5.0 + Sim.ms (Random.State.int rng 8000), round) :: !ambient;
     (* nemesis windows, sequential within the round's first half *)
-    let wt = ref (r0 + s 30.0) in
-    for _ = 1 to 1 + Random.State.int rng 2 do
-      let start = !wt + Sim.ms (Random.State.int rng 30_000) in
-      let dur = s 5.0 + Sim.ms (Random.State.int rng 15_000) in
-      let desc, fault, heal =
-        match Random.State.int rng 5 with
-        | 0 ->
-          let i = Random.State.int rng 8 in
-          ( Printf.sprintf "isolate petal %d" i,
-            (fun nf -> Netfault.isolate nf r.petal.(i)),
-            Netfault.heal_all )
-        | 1 ->
-          let i = Random.State.int rng (Array.length r.tracked) in
-          let j = Random.State.int rng 8 in
-          ( Printf.sprintf "cut tracked %d <-> petal %d" i j,
-            (fun nf -> Netfault.cut nf r.tracked.(i) r.petal.(j)),
-            Netfault.heal_all )
-        | 2 ->
-          let i = Random.State.int rng 8 in
-          let j = (i + 1 + Random.State.int rng 7) mod 8 in
-          ( Printf.sprintf "cut petal %d <-> petal %d" i j,
-            (fun nf -> Netfault.cut nf r.petal.(i) r.petal.(j)),
-            Netfault.heal_all )
-        | 3 ->
-          let drop = 0.04 +. (float_of_int (Random.State.int rng 11) /. 100.0) in
-          ( Printf.sprintf "%.0f%% loss" (drop *. 100.0),
-            (fun nf -> Netfault.shape ~drop nf),
-            Netfault.clear_shaping )
-        | _ ->
-          let delay = Sim.ms (5 + Random.State.int rng 25) in
-          let jitter = Sim.ms (Random.State.int rng 15) in
-          ( "delay/jitter",
-            (fun nf -> Netfault.shape ~delay ~jitter nf),
-            Netfault.clear_shaping )
-      in
-      nemesis :=
-        (start + dur, "heal: " ^ desc, heal) :: (start, desc, fault) :: !nemesis;
-      wt := start + dur + s 2.0
-    done;
+    let ws, _ =
+      draw_windows rng r
+        ~kinds:
+          [| Isolate_petal; Cut_tracked; Cut_petals; Loss (4, 11);
+             Delay (25, 15) |]
+        ~from:(r0 + s 30.0)
+        ~count:(1 + Random.State.int rng 2)
+        ~lead:30_000 ~len:(s 5.0) ~spread:15_000 ~gap:(s 2.0)
+    in
+    nemesis := ws @ !nemesis;
     (* a reconfiguration most rounds; the hot round always gets one *)
     if round = hot_round || Random.State.int rng 3 < 2 then begin
       let at = r0 + s 60.0 + Sim.ms (Random.State.int rng 120_000) in
-      let op =
-        let can_add = !standby <> [] and can_rm = List.length !active > 4 in
-        if can_add && ((not can_rm) || Random.State.bool rng) then begin
-          let l = !standby in
-          let i = List.nth l (Random.State.int rng (List.length l)) in
-          standby := List.filter (( <> ) i) l;
-          active := List.sort_uniq compare (i :: !active);
-          Add i
-        end
-        else begin
-          let l = !active in
-          let i = List.nth l (Random.State.int rng (List.length l)) in
-          active := List.filter (( <> ) i) l;
-          standby := List.sort_uniq compare (i :: !standby);
-          Remove i
-        end
-      in
-      reconfigs := (at, op) :: !reconfigs;
+      reconfigs := (at, draw_reconf rng ~min_active:4 active standby) :: !reconfigs;
       if round = hot_round then hot := Some (at - s 5.0, at + s 55.0)
     end;
     if Random.State.int rng 2 = 0 then
@@ -336,13 +302,9 @@ let random_schedule seed ~duration (r : roles) =
     checkpoints := (r0 + s 560.0) :: !checkpoints
   done;
   let petal_crashes =
-    let sites =
-      [| "petal.resync_push"; "petal.chunk_write"; "petal.mgmt_propose";
-         "petal.cutover_propose" |]
-    in
     let n = Random.State.int rng 3 in
     List.init n (fun k ->
-        { site = sites.((Random.State.int rng 4 + k) mod 4);
+        { site = crash_sites.((Random.State.int rng 4 + k) mod 4);
           at_hit = 2 + Random.State.int rng 40;
           victim = Random.State.int rng 8;
           restart_after = s 8.0 + Sim.ms (Random.State.int rng 8000) })
@@ -350,7 +312,7 @@ let random_schedule seed ~duration (r : roles) =
   {
     duration;
     reconfigs = List.rev !reconfigs;
-    nemesis = List.sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2) !nemesis;
+    nemesis = by_time !nemesis;
     fs_crashes = List.rev !fs_crashes;
     petal_crashes;
     snapshots = List.rev !snapshots;
@@ -365,58 +327,89 @@ let random_schedule seed ~duration (r : roles) =
     cutover_bound = s 180.0;
   }
 
+(* --- specs --------------------------------------------------------------- *)
+
+let labels = function
+  | Partition -> Partsweep.scripted_labels
+  | Reconf -> Reconfsweep.scripted_labels
+  | Composed -> scripted_labels
+
+let family_of = function
+  | Random (f, _) -> f
+  | Scripted name -> (
+    match List.find_opt (fun f -> List.mem name (labels f)) families with
+    | Some f -> f
+    | None -> invalid_arg ("soak: unknown scripted schedule " ^ name))
+
+let label_of = function
+  | Scripted name -> name
+  | Random (f, n) -> Printf.sprintf "%s:%d" (family_name f) n
+
+let schedule_of spec ~duration roles =
+  match (spec, family_of spec) with
+  | Scripted name, Partition -> Partsweep.scripted_schedule name roles
+  | Scripted name, Reconf -> Reconfsweep.scripted_schedule name roles
+  | Scripted name, Composed -> scripted_schedule name roles
+  | Random (_, n), Partition -> Partsweep.random_schedule n roles
+  | Random (_, n), Reconf -> Reconfsweep.random_schedule n roles
+  | Random (_, n), Composed -> random_schedule n ~duration roles
+
 (* --- the run ----------------------------------------------------------- *)
 
+(** Play [spec]'s schedule on its family's cluster shape. [duration]
+    sets a seeded composed schedule's horizon (default one simulated
+    hour); [fs_servers] overrides the Frangipani server count. *)
 let run ?duration ?fs_servers spec =
-  let label, sim_seed, nf_seed =
+  let family = family_of spec in
+  let shape = shape_of family in
+  let sim_seed, nf_seed =
     match spec with
-    | Scripted name -> (name, 42, 42)
-    | Random n -> (Printf.sprintf "random_%d" n, 3000 + n, n)
+    | Scripted _ -> (42, 42)
+    | Random (_, n) ->
+      let base =
+        match family with Partition -> 1000 | Reconf -> 2000 | Composed -> 3000
+      in
+      (base + n, n)
   in
-  let dur_req =
-    match duration with Some d -> d | None -> Sim.sec 3600.0
-  in
-  let until =
-    match spec with
-    | Random _ -> dur_req + Sim.sec 3600.0
-    | Scripted _ -> Sim.sec 7200.0
-  in
-  Sim.run ~seed:sim_seed ~until (fun () ->
+  let dur_req = Option.value duration ~default:(s 3600.0) in
+  Sim.run ~seed:sim_seed ~until:(dur_req + s 3600.0) (fun () ->
       Faultpoint.reset ();
       let nfs =
-        match fs_servers with
-        | Some n -> max 5 n
-        | None -> (
-          match spec with
-          | Random _ -> 32
-          | Scripted "composed_quick" -> 8
-          | Scripted _ -> 6)
+        match (fs_servers, spec) with
+        | Some n, _ when shape.victims -> max 5 n (* >= 1 victim, >= 1 ambient *)
+        | Some n, _ -> max shape.tracked n
+        | None, _ when not shape.victims -> shape.tracked
+        | None, Scripted "composed_quick" -> 8
+        | None, Scripted _ -> 6
+        | None, Random _ -> 32
       in
       let t =
-        Testbed.build ~petal_servers:8 ~petal_active:6 ~ndisks:2
-          ~disk_capacity:(256 * 1024 * 1024) ()
+        Testbed.build ~petal_servers:shape.petal_servers
+          ~petal_active:shape.petal_active ~ndisks:2
+          ~disk_capacity:shape.disk_capacity ~ngroups:shape.ngroups ()
       in
       let servers =
         Array.init nfs (fun i ->
-            Testbed.add_server t ~config:sweep_config
+            Testbed.add_server t ~config:Invariants.sweep_config
               ~name:(Printf.sprintf "soak%02d" i) ())
       in
       let roles =
         { petal = t.petal.Petal.Testbed.addrs;
-          tracked = Array.map (Testbed.addr_of t) (Array.sub servers 0 3) }
+          tracked =
+            Array.map (Testbed.addr_of t) (Array.sub servers 0 shape.tracked) }
       in
-      let sched =
-        match spec with
-        | Scripted name -> scripted_schedule name roles
-        | Random n -> random_schedule n ~duration:dur_req roles
-      in
+      let sched = schedule_of spec ~duration:dur_req roles in
       let psrv = t.petal.Petal.Testbed.servers in
       let sum f = Invariants.sum f psrv in
-      (* Role partition: 3 tracked workers, a few crash victims (also
+      let sum_fs f =
+        Array.fold_left (fun acc fs -> acc + (try f fs with _ -> 0)) 0 servers
+      in
+      let healthy fs = Host.is_alive (Fs.host fs) && not (Fs.is_poisoned fs) in
+      (* Role partition: the tracked workers, a few crash victims (also
          paced workers, so a crash always has acked state at stake),
          the rest ambient. *)
-      let ntracked = 3 in
-      let nvict = max 1 (min 7 (nfs / 4)) in
+      let ntracked = shape.tracked in
+      let nvict = if shape.victims then max 1 (min 7 (nfs / 4)) else 0 in
       let victims = Array.sub servers ntracked nvict in
       let ambient_pool =
         Array.sub servers (ntracked + nvict) (nfs - ntracked - nvict)
@@ -439,12 +432,7 @@ let run ?duration ?fs_servers spec =
             f ();
             Sim.Ivar.fill iv ())
       in
-      let total_replays () =
-        Array.fold_left
-          (fun acc fs ->
-            acc + (try (Fs.recovery_stats fs).Fs.replays with _ -> 0))
-          0 servers
-      in
+      let total_replays () = sum_fs (fun fs -> (Fs.recovery_stats fs).Fs.replays) in
       (* nemesis + petal faultpoint crashes *)
       let nf = Netfault.create ~seed:nf_seed t.net in
       Netfault.schedule nf
@@ -484,7 +472,7 @@ let run ?duration ?fs_servers spec =
         (fun i fs ->
           let dname = Printf.sprintf "w%d" i in
           let led = ledgers.(i) in
-          let pace = if i < ntracked then s 2.0 else s 3.0 in
+          let pace = if i < ntracked then shape.pace else s 3.0 in
           Sim.spawn (fun () ->
               let dir = try Fs.mkdir fs ~dir:Fs.root dname with _ -> -1 in
               let seq = ref 0 and stopped = ref false in
@@ -555,9 +543,7 @@ let run ?duration ?fs_servers spec =
                 amb_busy := true;
                 let live =
                   Array.to_list ambient_pool
-                  |> List.filter (fun fs ->
-                         Host.is_alive (Fs.host fs)
-                         && not (Fs.is_poisoned fs))
+                  |> List.filter healthy
                 in
                 let n = List.length live in
                 let take = min 7 n in
@@ -783,11 +769,7 @@ let run ?duration ?fs_servers spec =
           spawn_tracked (fun () ->
               if Sim.now () < at then Sim.sleep (at - Sim.now ());
               let fs = servers.(2) in
-              if
-                (not !stop_all)
-                && Host.is_alive (Fs.host fs)
-                && not (Fs.is_poisoned fs)
-              then begin
+              if (not !stop_all) && healthy fs then begin
                 ev "log-pressure burst %d" pi;
                 try
                   let dir =
@@ -830,8 +812,7 @@ let run ?duration ?fs_servers spec =
               while
                 Sim.now () < hstop
                 && (not !stop_all)
-                && Host.is_alive (Fs.host fs)
-                && not (Fs.is_poisoned fs)
+                && healthy fs
               do
                 (try
                    Fs.write fs f
@@ -892,7 +873,8 @@ let run ?duration ?fs_servers spec =
               List.sort compare [ a.(slot); a.((slot + 1) mod n) ]
             in
             let rec moving c =
-              if owners initial_active c <> owners (initial_active @ [ 6 ]) c
+              let act = initial_active shape in
+              if owners act c <> owners (act @ [ 6 ]) c
               then c
               else moving (c + 1)
             in
@@ -947,8 +929,7 @@ let run ?duration ?fs_servers spec =
                 wait_amb 180;
                 Array.iter
                   (fun fs ->
-                    if Host.is_alive (Fs.host fs) && not (Fs.is_poisoned fs)
-                    then try Fs.sync fs with _ -> ())
+                    if healthy fs then try Fs.sync fs with _ -> ())
                   servers;
                 let degraded = Invariants.drain_backlog ~rounds:12 psrv in
                 let pending_left, leftover =
@@ -971,9 +952,7 @@ let run ?duration ?fs_servers spec =
                      "checkpoint %d: an expired-stamp write was applied" ci);
                 let checker =
                   Array.to_list servers
-                  |> List.find_opt (fun fs ->
-                         Host.is_alive (Fs.host fs)
-                         && not (Fs.is_poisoned fs))
+                  |> List.find_opt healthy
                 in
                 (match checker with
                 | None ->
@@ -1014,10 +993,14 @@ let run ?duration ?fs_servers spec =
       Sim.sleep (s 60.0);
       let degraded_left = Invariants.drain_backlog psrv in
       let pending_left, leftover_chunks = Invariants.settle_transfers psrv in
-      (* one post-run acked write through a surviving tracked server *)
+      (* One more acked write through tracked server 0 now that the map
+         has settled: its cached routing map predates any committed
+         cutover, so the write exercises the client's [Wrong_epoch]
+         refresh-and-retry path, and the final verify proves it landed
+         on the new owners. *)
       (try
          let fs = servers.(0) in
-         if Host.is_alive (Fs.host fs) && not (Fs.is_poisoned fs) then begin
+         if healthy fs then begin
            let dir = Fs.lookup fs ~dir:Fs.root "w0" in
            let f = Fs.create fs ~dir "post" in
            let data = Invariants.bytes_pat 768 99 in
@@ -1034,21 +1017,20 @@ let run ?duration ?fs_servers spec =
       (* the full-ledger verify and fsck go through a fresh server, so
          they also prove a newcomer converges on the final map *)
       let c = Testbed.add_server t ~name:"soak-fresh" () in
+      (* With no healthy server left, the first clerk to open the table
+         replays the dead servers' logs — [c], just now: wait for the
+         lock service's nag to reach it and the replay to finish
+         before judging the volume. Otherwise a healthy server runs
+         the replay, and a dead server's locks stay held until it
+         finishes, so [c]'s reads wait for it. *)
+      if not (Array.exists healthy servers) then Invariants.await_replay c;
       let lost =
         List.concat_map (fun l -> Invariants.verify l c) (all_ledgers ())
       in
       let fsck_findings = Invariants.fsck c in
-      let freeze_waits =
-        Array.fold_left
-          (fun acc fs ->
-            acc
-            + (Petal.Client.op_stats fs.Frangipani.Ctx.vd)
-                .Petal.Client.freeze_waits)
-          0 servers
-        + !raw_waits
-      in
+      let client_stats fs = Petal.Client.op_stats fs.Frangipani.Ctx.vd in
       {
-        label;
+        label = label_of spec;
         sim_hours = Sim.to_sec (Sim.now ()) /. 3600.0;
         acked =
           List.fold_left
@@ -1064,7 +1046,9 @@ let run ?duration ?fs_servers spec =
         snapshots_deleted = !snap_del;
         snap_rejected = !snap_rej;
         freeze_rejects = sum Petal.Server.freeze_reject_count;
-        freeze_waits;
+        freeze_waits =
+          sum_fs (fun fs -> (client_stats fs).Petal.Client.freeze_waits)
+          + !raw_waits;
         max_cutover_ns =
           Array.fold_left
             (fun acc srv -> max acc (Petal.Server.max_cutover_time srv))
@@ -1075,20 +1059,18 @@ let run ?duration ?fs_servers spec =
         raw_freeze_waits = !raw_waits;
         hot_writes = !hot_writes;
         log_pressure_stalls =
-          Array.fold_left
-            (fun acc fs ->
-              acc
-              + (try (Fs.wal_stats fs).Frangipani.Wal.log_pressure_stalls
-                 with _ -> 0))
-            0 servers;
+          sum_fs (fun fs -> (Fs.wal_stats fs).Frangipani.Wal.log_pressure_stalls);
         wal_reclaims =
-          Array.fold_left
-            (fun acc fs ->
-              acc
-              + (try (Fs.wal_stats fs).Frangipani.Wal.reclaim_rounds
-                 with _ -> 0))
-            0 servers;
+          sum_fs (fun fs -> (Fs.wal_stats fs).Frangipani.Wal.reclaim_rounds);
         replays = total_replays ();
+        renew_misses =
+          sum_fs (fun fs -> (Fs.lease_stats fs).Locksvc.Clerk.renew_misses);
+        rpc_retries = sum_fs (fun fs -> (Fs.net_stats fs).Rpc.retries);
+        xfer_pushes = sum Petal.Server.xfer_push_count;
+        wrong_epoch_rejects = sum Petal.Server.wrong_epoch_count;
+        map_refreshes =
+          sum_fs (fun fs -> (client_stats fs).Petal.Client.map_refreshes);
+        gc_chunks = sum Petal.Server.gc_chunk_count;
         ambient_ops = !amb_ops;
         ambient_failed = !amb_failed;
         checks_run = Invariants.checks_run eng;
@@ -1101,14 +1083,14 @@ let run ?duration ?fs_servers spec =
         pending_left;
         leftover_chunks;
         final_active;
-        expected_active = expected_active_of sched;
+        expected_active = expected_active_of shape sched;
         nf = Netfault.stats nf;
         end_ns = Sim.now ();
       })
 
 (** What an outcome violates; [] = every invariant held. The scripted
-    labels add their scenario-specific teeth, so [debug_soak] reports
-    them too. *)
+    labels add their scenario-specific teeth, so every driver — the
+    tests, the full sweeps, the replay driver — enforces them. *)
 let failures o =
   let bad cond msg acc = if cond then msg :: acc else acc in
   let set l = String.concat "," (List.map string_of_int l) in
@@ -1177,6 +1159,25 @@ let failures o =
       |> bad (o.snapshots_deleted <> 1) "snapshot was never deleted"
     | "composed_quick" ->
       [] |> bad (o.crashed_fs <> 1) "the scheduled server crash never ran"
+    | "isolate_server" ->
+      []
+      |> bad (o.expired_servers = 0) "45 s isolation did not expire the lease"
+      |> bad (o.renew_misses = 0) "no lease renewal was missed"
+    | "isolate_brief" ->
+      [] |> bad (o.expired_servers > 0) "10 s outage expired the lease"
+    | "lossy" ->
+      []
+      |> bad (o.nf.Netfault.loss_drops = 0) "the nemesis dropped no message"
+      |> bad (o.rpc_retries = 0) "the RPC layer never retried"
+    | "add_plain" ->
+      []
+      |> bad (o.xfer_pushes = 0) "the handoff streamed no chunk"
+      |> bad (o.map_refreshes = 0)
+           "no client hit Wrong_epoch and refreshed its map"
+    | "remove_plain" ->
+      [] |> bad (o.gc_chunks = 0) "the decommissioned member was never emptied"
+    | "back_to_back" ->
+      [] |> bad (o.committed <> 3) "three epochs were not committed"
     | _ -> []
   in
   List.rev (scenario @ generic)

@@ -1,6 +1,6 @@
 (* The deterministic crash-point fault-injection harness: a bounded
    subset of the recovery sweep (the exhaustive sweep over every
-   registered crash point is test_crashsweep_full.exe), plus directed
+   registered crash point is `sweep_full.exe crash`), plus directed
    tests for racing recoveries and a replay that aborts mid-way. *)
 
 open Simkit

@@ -1,7 +1,7 @@
 (* The quick soak subset: the scripted freeze/interlock scenarios,
    one short seeded round at reduced scale, and the determinism
    contract. The 20-seed x 1-simulated-hour soak is
-   test_soak_full.exe, run from the verify workflow. *)
+   `sweep_full.exe soak`, run from the verify workflow. *)
 
 module Soak = Workloads.Soak
 module Sim = Simkit.Sim
@@ -12,9 +12,12 @@ let check_clean what (o : Soak.outcome) =
 (* The drain-time write freeze: a sustained hot-chunk writer spans the
    whole handoff, yet the cutover commits within the bound — and the
    writer was provably frozen at least once (otherwise the case shows
-   nothing). Bounded cutover is asserted inside [failures]. *)
+   nothing). Bounded cutover is asserted inside [failures]. The
+   determinism case replays this same run. *)
+let hot_cutover = lazy (Soak.run (Soak.Scripted "hot_cutover"))
+
 let test_hot_cutover () =
-  let o = Soak.run (Soak.Scripted "hot_cutover") in
+  let o = Lazy.force hot_cutover in
   check_clean "hot_cutover" o;
   Alcotest.(check bool)
     (Printf.sprintf "freeze engaged (rejects %d)" o.Soak.freeze_rejects)
@@ -49,18 +52,23 @@ let test_composed_quick () =
 (* A short seeded soak at reduced scale: one 10-minute round on a
    16-server cluster. *)
 let test_seeded_round () =
-  check_clean "random_1"
-    (Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16 (Soak.Random 1))
+  check_clean "soak:1"
+    (Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16
+       (Soak.Random (Soak.Composed, 1)))
 
 (* Same spec, twice: every outcome field — timeline, violations and
    the simulated end time included — must match, or a failing seed
-   from the full soak would be unreproducible in debug_soak. *)
+   from the full soak would be unreproducible in replay.exe. *)
 let test_deterministic_replay () =
-  let o = Soak.run (Soak.Scripted "hot_cutover") in
   let o' = Soak.run (Soak.Scripted "hot_cutover") in
-  Alcotest.(check bool) "scripted replay is bit-identical" true (o = o');
-  let r = Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16 (Soak.Random 2) in
-  let r' = Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16 (Soak.Random 2) in
+  Alcotest.(check bool) "scripted replay is bit-identical" true
+    (Lazy.force hot_cutover = o');
+  let seeded () =
+    Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16
+      (Soak.Random (Soak.Composed, 2))
+  in
+  let r = seeded () in
+  let r' = seeded () in
   Alcotest.(check bool) "seeded replay is bit-identical" true (r = r')
 
 let () =
