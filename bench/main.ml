@@ -534,7 +534,7 @@ let print_net_delta name (p_rpc : Cluster.Rpc.stats) (p_cl : Locksvc.Clerk.stats
    derived from the filename (BENCH_5.json shipped with a hand-typed
    "pr": 4 — wrong, and silently so); keeping one constant makes the
    two impossible to disagree. *)
-let bench_out = "BENCH_10.json"
+let bench_out = "BENCH_14.json"
 let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
 
 (* Row stores for the emitter: json_bench (workloads, reconf) runs

@@ -262,12 +262,16 @@ let fill_runs ?(prefetch = false) ?(still_wanted = fun () -> true) t runs
    contiguous range. *)
 let fill_range t ~lock ~addr ~len ~granule = fill_runs t [ (lock, addr, len) ] ~granule
 
-(* Write a set of dirty entries back to Petal: log records first
-   (write-ahead), then the entries clustered into naturally-aligned
-   runs of up to 64 KB (§9.2), all runs submitted asynchronously
-   before waiting once. Backpressure is the Petal client's bounded
-   in-flight pool, so submission itself throttles when the pipe is
-   full. *)
+(* Write-back (§4, §9.2). Frangipani logs metadata only, so the
+   write-ahead rule binds only logged entries ([rid > 0]): a flush
+   submits its unlogged file data ([rid = 0]) at once, its logged
+   entries once [Wal.ensure_flushed] has made their records durable,
+   and then waits for both — the durability barrier of a fully serial
+   flush without holding megabytes of data back for a log round trip.
+   Entries are clustered into naturally-aligned runs of up to 64 KB,
+   each batch one scatter-gather Petal write; backpressure is the Petal
+   client's bounded in-flight pool, so a batch's submitting process
+   throttles when the pipe is full. *)
 let max_run = 65536
 
 (* Cluster address-sorted dirty entries into contiguous runs that do
@@ -284,72 +288,112 @@ let group_runs dirty =
     [] dirty
   |> List.rev_map List.rev
 
-(* Submit all runs as ONE scatter-gather Petal write (the client
-   coalesces adjacent same-chunk pieces across run boundaries), then
-   wait for it. Once the batch lands, entries whose generation is
-   unchanged become clean; [on_run_done] runs per run (even on
-   failure). If submission itself raises (e.g. the host died),
-   [on_run_done] still runs for every run so their entries are not
-   left marked in-flight forever. *)
-let write_runs t runs ~on_run_done =
-  if runs <> [] then begin
-    List.iter (fun _ -> Faultpoint.hit "cache.write_run") runs;
+(* Mark address-sorted [entries] in flight, copy them into runs and
+   submit the runs as ONE scatter-gather Petal write from a fresh
+   process, so the caller never waits for a slot in the Petal client's
+   in-flight pool: a flush starts its log write before its data takes
+   those slots, and nothing it chose can change under it while it
+   waits. Returns the wait for the write. The fresh process settles
+   the entries when the write lands, so flushers waiting on them are
+   not held up by the caller: those whose generation is unchanged
+   become clean, and all leave the in-flight state even when the write
+   failed. The runs' faultpoints are hit after the copy, so an action
+   armed there cannot open a window between choosing and copying. *)
+let submit t entries =
+  if entries = [] then Fun.id
+  else begin
+    if not (t.lease_ok ()) then Errors.fail Errors.Eio;
+    let runs = group_runs entries in
     let gens =
-      List.map (fun run -> List.map (fun e -> (e, e.gen)) run) runs
+      List.map
+        (fun e ->
+          e.flushing <- true;
+          (e, e.gen))
+        entries
     in
     let extents =
-      List.map
-        (fun run ->
-          ( (List.hd run).addr,
-            Bytes.concat Bytes.empty (List.map (fun e -> e.data) run) ))
-        runs
+      ref
+        (List.map
+           (fun run ->
+             ((List.hd run).addr, Bytes.concat Bytes.empty (List.map (fun e -> e.data) run)))
+           runs)
     in
-    let finish () = List.iter on_run_done runs in
-    match Petal.Client.write_runs_async t.vd extents with
-    | h -> (
-      match Petal.Client.wait h with
-      | Ok () ->
-        List.iter
-          (List.iter (fun (e, g) -> if e.gen = g then mark_clean t e))
-          gens;
-        finish ()
-      | Error ex ->
-        finish ();
-        raise ex)
+    let settle r =
+      List.iter
+        (fun (e, g) ->
+          e.flushing <- false;
+          if Result.is_ok r && e.gen = g then mark_clean t e)
+        gens;
+      Sim.Condition.broadcast t.flush_done;
+      r
+    in
+    (match List.iter (fun _ -> Faultpoint.hit "cache.write_run") runs with
+    | () -> ()
     | exception ex ->
-      finish ();
-      raise ex
+      ignore (settle (Error ex));
+      raise ex);
+    let landed = Sim.Ivar.create () in
+    Sim.spawn (fun () ->
+        (* Once submitted, the run copies belong to the Petal client,
+           which drops each piece's bytes as it lands: the wait must
+           not keep the whole batch reachable. *)
+        let runs = !extents in
+        extents := [];
+        let r =
+          match Petal.Client.write_runs_async t.vd runs with
+          | h -> Petal.Client.wait h
+          | exception ex -> Error ex
+        in
+        Sim.Ivar.fill landed (settle r));
+    fun () -> Result.iter_error raise (Sim.Ivar.read landed)
   end
 
-(* Write address-sorted dirty [candidates] back. Entries already being
-   written by a concurrent flush are not re-sent — two writes of one
-   sector in flight together could land out of order — but waited for
-   at the end (the durability barrier). [prepare] runs on the entries
-   this call will write, before it marks them in flight. *)
-let write_back t candidates ~prepare =
-  let busy = List.filter (fun e -> e.flushing) candidates in
-  let idle = List.filter (fun e -> not e.flushing) candidates in
-  if idle <> [] then begin
-    prepare idle;
-    if not (t.lease_ok ()) then Errors.fail Errors.Eio;
-    List.iter (fun e -> e.flushing <- true) idle;
-    write_runs t (group_runs idle) ~on_run_done:(fun run ->
-        List.iter (fun e -> e.flushing <- false) run;
-        Sim.Condition.broadcast t.flush_done)
-  end;
+(* Write address-sorted dirty [candidates] back: the data batch, and
+   the logged entries as a batch of their own, so a log reclaim that
+   waits on one of them never waits on a data write. The logged entries
+   and their generations are taken before anything can yield. The log
+   wait yields, so each is checked again after it: one another flusher
+   put in flight meanwhile is not sent twice (two writes of one sector
+   in flight together could land out of order), and one modified
+   meanwhile — by a transaction now committed or still open, which
+   bumps the generation — is left dirty: the records this flush waited
+   for already made the content it saw durable, and a later flush
+   writes the newer content once its own record lands. Entries in
+   flight elsewhere are not re-sent but waited for at the end (the
+   durability barrier). *)
+let write_back t candidates =
+  let busy, idle = List.partition (fun e -> e.flushing) candidates in
+  let logged, data = List.partition (fun e -> e.rid > 0) idle in
+  let rid = List.fold_left (fun acc e -> max acc e.rid) 0 logged in
+  let seen = List.map (fun e -> (e, e.gen)) logged in
+  let data_landed = submit t data in
+  let logged_landed =
+    try
+      Wal.ensure_flushed t.wal rid;
+      List.filter_map
+        (fun (e, gen) -> if e.dirty && e.gen = gen && not e.flushing then Some e else None)
+        seen
+      |> submit t
+    with ex -> fun () -> raise ex
+  in
+  (match
+     List.filter_map
+       (fun landed -> match landed () with () -> None | exception ex -> Some ex)
+       [ logged_landed; data_landed ]
+   with
+  | ex :: _ -> raise ex
+  | [] -> ());
   List.iter
     (fun e ->
       while e.flushing do
         Sim.Condition.wait t.flush_done
       done)
-    busy
+    (busy @ logged)
 
 let flush_entries t entries =
   List.filter (fun e -> e.dirty && e.pins = 0) entries
   |> List.sort_uniq (fun a b -> compare a.addr b.addr)
-  |> write_back t ~prepare:(fun dirty ->
-         let max_rid = List.fold_left (fun acc e -> max acc e.rid) 0 dirty in
-         if max_rid > 0 then Wal.ensure_flushed t.wal max_rid)
+  |> write_back t
 
 let flush_lock t lock =
   match Hashtbl.find_opt t.by_lock lock with
@@ -380,19 +424,20 @@ let invalidate_lock t lock =
 let flush_all t =
   flush_entries t (Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl [])
 
-(* WAL-reclaim path: these records are already durable, so no
-   ensure_flushed (which would recurse into the in-progress log
-   flush). Clustered into runs and submitted together like the main
-   flush path, instead of one serial write per entry. Waiting out
-   another flush's in-flight write cannot deadlock: an entry becomes
-   [flushing] only after that flush's [ensure_flushed] returned, so
-   the write never waits on the log. *)
+(* WAL-reclaim path: these records are already durable, so every
+   selected entry is ready at once and no log flush is triggered (one
+   would recurse into the in-progress flush that called us). Waiting out
+   another flush's in-flight write cannot deadlock: a logged entry
+   becomes [flushing] only once its record is durable, so that write
+   never waits on the log; data entries ([rid = 0]), the only ones put
+   in flight before the log lands, are never selected. *)
 let flush_upto_rid t bound =
+  assert (bound <= Wal.durable_rid t.wal);
   Hashtbl.fold
     (fun _ e acc -> if e.dirty && e.rid > 0 && e.rid <= bound then e :: acc else acc)
     t.tbl []
   |> List.sort_uniq (fun a b -> compare a.addr b.addr)
-  |> write_back t ~prepare:ignore
+  |> write_back t
 
 let drop_clean t =
   let doomed =

@@ -87,7 +87,9 @@ val fill_range : t -> lock:int -> addr:int -> len:int -> granule:int -> unit
     ablation). *)
 
 val flush_lock : t -> int -> unit
-(** Write back all dirty entries covered by a lock (logging first). *)
+(** Write back all dirty entries covered by a lock. Unlogged data goes
+    to Petal at once; logged entries once their records are durable.
+    Returns when both have landed. *)
 
 val invalidate_lock : t -> int -> unit
 (** Drop all entries covered by a lock (they must be clean — call
@@ -97,9 +99,10 @@ val flush_all : t -> unit
 
 val flush_upto_rid : t -> int -> unit
 (** Write back dirty metadata recorded by records with id ≤ the
-    given bound — the WAL's reclaim hook. Never triggers a log
-    flush. Entries another flush already has in flight are not
-    re-sent but waited for, so it returns once they have landed. *)
+    given bound, which must already be durable — the WAL's reclaim
+    hook. Never triggers a log flush. Entries another flush already
+    has in flight are not re-sent but waited for, so it returns once
+    they have landed. *)
 
 val drop_clean : t -> unit
 (** Evict all clean entries (lets experiments measure uncached

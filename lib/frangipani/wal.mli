@@ -65,6 +65,9 @@ val flush : t -> unit
 
 val last_rid : t -> int
 
+val durable_rid : t -> int
+(** Every record with an id up to this one is durable in Petal. *)
+
 val log_size : t -> int
 (** The configured log size in bytes. *)
 

@@ -146,12 +146,24 @@ let recover_group t g =
   (* Phase 2: rebuild holder state for a newly gained group from the
      clerks that have the relevant tables open. *)
   let clerk_addrs = List.sort_uniq compare (List.map (fun (_, a, _) -> a) t.clerks) in
+  (* A clerk that does not answer (a lost datagram) is asked again
+     while one of its leases lives and the group is still ours: serving
+     the group without its holdings would grant locks that conflict
+     with the ones it holds. *)
+  let rec ask addr =
+    match
+      Rpc.call t.rpc ~dst:addr ~timeout:(Sim.ms 500) ~size:msg
+        (L_get_state { table = ""; group = g })
+    with
+    | Error `Timeout
+      when is_owner t g
+           && List.exists (fun (_, a, le) -> a = addr && lease_alive t le) t.clerks ->
+      ask addr
+    | r -> r
+  in
   List.iter
     (fun addr ->
-      match
-        Rpc.call t.rpc ~dst:addr ~timeout:(Sim.ms 500) ~size:msg
-          (L_get_state { table = ""; group = g })
-      with
+      match ask addr with
       | Ok (L_state { held }) ->
         List.iter
           (fun (table, lock, m) ->

@@ -383,7 +383,10 @@ let prune_degraded t =
    a version survives iff it is the live head or the one some
    remaining snapshot's frozen epoch selects (the newest version at or
    below it — the [select_version] rule). Runs when a snapshot disk is
-   deleted; never touches the head, so it cannot race a live write. *)
+   deleted; never frees the head, so it cannot race a live write's
+   extent. It may drop an entry that is empty or a lone tombstone
+   while a write to that chunk waits on its disk; [write_chunk]
+   re-resolves the entry before recording its extent. *)
 let gc_unpinned_versions t ~root =
   let pins =
     Hashtbl.fold
@@ -644,14 +647,18 @@ let write_chunk t ~root ~chunk ~within ~data ~doff ~dlen ~epoch ~expires =
       ~len:dlen
   | current ->
     (* Fresh extent needed: tombstone at this epoch, older epoch, or
-       nothing stored yet. *)
+       nothing stored yet. The disk write blocks, and a snapshot
+       deletion meanwhile may drop this chunk's entry if it is still
+       empty or a lone tombstone ([gc_unpinned_versions] takes no chunk
+       lock), so the extent is recorded in the entry the table holds
+       once the write is done, not in [vl]. *)
     if whole then begin
       let d, off = allocate t in
       audit_stamp ();
       (* Whole-chunk write: the payload slice goes straight to storage
          (the store copies, or aliases an immutable payload). *)
       t.disks.(d).Blockdev.Storage.write_sub ~off data ~boff:doff ~len:dlen;
-      place_version t vl ~epoch ~ext:(d, off)
+      place_version t (versions t (root, chunk)) ~epoch ~ext:(d, off)
     end
     else begin
       let base =
@@ -666,7 +673,7 @@ let write_chunk t ~root ~chunk ~within ~data ~doff ~dlen ~epoch ~expires =
       (* [base] is freshly built and never touched again: transfer
          ownership so an NVRAM front need not copy it. *)
       t.disks.(d).Blockdev.Storage.write_own ~off base;
-      place_version t vl ~epoch ~ext:(d, off)
+      place_version t (versions t (root, chunk)) ~epoch ~ext:(d, off)
     end
 
 let decommit_chunk t ~root ~chunk ~epoch ~expires =

@@ -227,6 +227,35 @@ let test_lock_server_crash_reassignment () =
         Clerk.release c2 ~lock:l Types.W
       done)
 
+(* Group reassignment must learn every live clerk's holdings before it
+   serves the group. Here the new owners' state queries to the clerk
+   holding the locks are lost (a one-way cut, servers -> clerk, over
+   the reassignment; the clerk's renewals still get through, so its
+   lease lives): they must ask again once the cut heals, not serve the
+   group as if the clerk held nothing and grant a conflicting lock. *)
+let test_reassignment_waits_for_clerk_state () =
+  Sim.run (fun () ->
+      let bed = mkservice ~nservers:3 () in
+      let nf = Netfault.create bed.net in
+      let _, c1 = mkclerk bed "f1" (* addr 3 *) in
+      let _, c2 = mkclerk bed "f2" in
+      for l = 0 to 39 do
+        Clerk.acquire c1 ~lock:l Types.W;
+        Clerk.release c1 ~lock:l Types.W
+      done;
+      Host.crash bed.shosts.(2);
+      Netfault.cut ~oneway:true nf bed.saddrs.(0) 3;
+      Netfault.cut ~oneway:true nf bed.saddrs.(1) 3;
+      Sim.sleep (Sim.sec 16.0);
+      Netfault.heal_all nf;
+      for l = 0 to 39 do
+        Clerk.acquire c2 ~lock:l Types.W;
+        Alcotest.(check (option mode))
+          (Printf.sprintf "lock %d revoked from the first holder" l)
+          None (Clerk.holds c1 ~lock:l);
+        Clerk.release c2 ~lock:l Types.W
+      done)
+
 let test_fairness_batched_readers () =
   Sim.run (fun () ->
       let bed = mkservice () in
@@ -314,6 +343,8 @@ let () =
             test_renewal_drops_until_expiry;
           Alcotest.test_case "lock server crash reassigns" `Quick
             test_lock_server_crash_reassignment;
+          Alcotest.test_case "reassignment waits for clerk state" `Quick
+            test_reassignment_waits_for_clerk_state;
         ] );
       ("safety", [ QCheck_alcotest.to_alcotest prop_no_conflicting_holders ]);
     ]

@@ -751,6 +751,22 @@ let test_delete_vdisk_gc () =
           (Bytes.equal got (bytes_pat 4096 (50 + i)))
       done)
 
+(* A snapshot deletion that lands while a write to a fresh chunk waits
+   on its disk must not orphan that write: the GC drops the chunk's
+   still-empty entry, and the write must record its extent in the
+   entry the table holds when the disk write completes. *)
+let test_delete_during_fresh_write () =
+  Sim.run (fun () ->
+      let _, _, c, vd = setup () in
+      let sid = Petal.Client.snapshot vd in
+      let off = 7 * Petal.Protocol.chunk_bytes in
+      let data = bytes_pat 4096 9 in
+      let h = Petal.Client.write_async vd ~off data in
+      Petal.Client.delete_vdisk c ~id:sid;
+      Petal.Client.await h;
+      Alcotest.(check bool) "write survives the deletion" true
+        (Bytes.equal data (Petal.Client.read vd ~off ~len:4096)))
+
 (* The other half of the snapshot/reconfiguration interlock: bumping
    the CoW epoch mid-transfer would pin versions the handoff stream
    never carries, so snapshot is refused while a transfer is
@@ -844,6 +860,8 @@ let () =
           Alcotest.test_case "two snapshots" `Quick test_two_snapshots;
           Alcotest.test_case "delete GCs pinned versions" `Quick
             test_delete_vdisk_gc;
+          Alcotest.test_case "delete during a fresh write" `Quick
+            test_delete_during_fresh_write;
           Alcotest.test_case "refused while a transfer is pending" `Quick
             test_snapshot_refused_while_pending;
           QCheck_alcotest.to_alcotest prop_snapshots_match_model;

@@ -295,6 +295,218 @@ let test_reclaim_waits_for_inflight_flush () =
       Alcotest.(check int) "sector clean on return" 0 (Cache.dirty_count c);
       Sim.Ivar.read flushed)
 
+(* A cache over a private log, plus helpers to commit a logged
+   update of inode 3's sector and to dirty unlogged data blocks. *)
+let mkcache ~slot =
+  let vd = mkvd () in
+  let w = Wal.create ~vd ~slot ~synchronous:false ~lease_ok:(fun () -> true) () in
+  (vd, w, Cache.create ~vd ~wal:w ~lease_ok:(fun () -> true))
+
+let ino = Layout.inode_addr 3
+let ino_lock = Lockns.inode_lock 3
+
+let log_inode c s =
+  Cache.with_txn c (fun txn ->
+      Cache.update c txn ~lock:ino_lock ~addr:ino ~off:8 ~bytes:(Bytes.of_string s))
+
+(* [n] data blocks from small data block [b], all under the inode's
+   lock (like a file's blocks). *)
+let dirty_data c ~b ~n =
+  for i = b to b + n - 1 do
+    Cache.write_data c ~lock:ino_lock
+      ~addr:(Layout.small_addr Layout.Small_data i)
+      ~bytes:(Bytes.make Layout.small_block 'd')
+  done
+
+let spawn_flush f =
+  let iv = Sim.Ivar.create () in
+  Sim.spawn (fun () ->
+      f ();
+      Sim.Ivar.fill iv ());
+  iv
+
+(* Two flushers parked in the same log wait (here a revoke's flush and
+   the sync demon's) must not both put a write of the sector in flight:
+   the two writes could land out of order. Whichever resumes second
+   finds the sector in flight and only waits for it. *)
+let test_parked_flushers_write_once () =
+  Sim.run (fun () ->
+      let vd, _, c = mkcache ~slot:6 in
+      log_inode c "parked";
+      let writes () = (Petal.Client.op_stats vd).Petal.Client.write_pieces in
+      let w0 = writes () in
+      let revoke = spawn_flush (fun () -> Cache.flush_lock c ino_lock) in
+      let sync = spawn_flush (fun () -> Cache.flush_all c) in
+      Sim.Ivar.read revoke;
+      Sim.Ivar.read sync;
+      Alcotest.(check int) "one log write, one write of the sector" 2 (writes () - w0);
+      Alcotest.(check int) "sector clean" 0 (Cache.dirty_count c))
+
+(* The write-ahead rule under the overlapped write-back: no logged
+   sector reaches Petal before its record is durable. Every write-back
+   run records how far the log was durable when it was submitted, and
+   Petal's copy of the inode sector never carries a version the
+   durable log does not hold — also when a transaction commits a newer
+   record for the sector while a flush waits on the log. *)
+let test_logged_sector_waits_for_its_record () =
+  Sim.run (fun () ->
+      let vd, w, c = mkcache ~slot:7 in
+      Faultpoint.reset ();
+      Faultpoint.enable ();
+      let seen = ref [] in
+      for k = 1 to 8 do
+        Faultpoint.arm_site "cache.write_run" ~at:k
+          (Faultpoint.Crash (fun _ -> seen := Wal.durable_rid w :: !seen))
+      done;
+      let on_petal () = Stdext.Codec.get_int (Petal.Client.read vd ~off:ino ~len:Layout.sector) 0 in
+      let in_log () =
+        List.fold_left
+          (fun acc (x : Wal.diff) -> if x.Wal.addr = ino then max acc x.Wal.version else acc)
+          0 (Wal.scan vd ~slot:7)
+      in
+      log_inode c "first";
+      let r1 = Wal.last_rid w in
+      dirty_data c ~b:0 ~n:1;
+      dirty_data c ~b:16 ~n:1;
+      let flushed = spawn_flush (fun () -> Cache.flush_lock c ino_lock) in
+      Sim.sleep (Sim.us 50);
+      log_inode c "second";
+      let r2 = Wal.last_rid w in
+      Sim.Ivar.read flushed;
+      Alcotest.(check bool) "no unlogged version on Petal while a newer record waits" true
+        (on_petal () <= in_log ());
+      Cache.flush_all c;
+      Faultpoint.reset ();
+      Alcotest.(check int) "sector written once its newest record landed" 2 (on_petal ());
+      Alcotest.(check int) "newest record durable" 2 (in_log ());
+      match List.rev !seen with
+      | [ d1; d2; sector ] ->
+        Alcotest.(check bool) "both data runs went out before the first record landed" true
+          (d1 < r1 && d2 < r1);
+        Alcotest.(check bool) "the sector went out after its newest record landed" true
+          (sector >= r2)
+      | runs -> Alcotest.failf "expected 3 write-back runs, got %d" (List.length runs))
+
+(* A flush whose batch holds an unlogged data block and a logged inode
+   puts the data write in flight while the log group is still in
+   flight, instead of after it. *)
+let test_data_overlaps_log_flush () =
+  Sim.run (fun () ->
+      let vd, w, c = mkcache ~slot:8 in
+      log_inode c "overlap";
+      let r = Wal.last_rid w in
+      dirty_data c ~b:0 ~n:1;
+      let writes () = (Petal.Client.op_stats vd).Petal.Client.write_pieces in
+      let w0 = writes () in
+      let flushed = spawn_flush (fun () -> Cache.flush_lock c ino_lock) in
+      Sim.sleep (Sim.us 50);
+      Alcotest.(check bool) "log group still in flight" true (Wal.durable_rid w < r);
+      Alcotest.(check int) "log group and data write both in flight" 2 (writes () - w0);
+      Sim.Ivar.read flushed;
+      Alcotest.(check int) "then the inode" 3 (writes () - w0);
+      Alcotest.(check int) "all clean" 0 (Cache.dirty_count c))
+
+(* A WAL reclaim never waits on a data write: the logged entries of a
+   flush travel in a batch of their own, so a reclaim that finds one in
+   flight returns once that batch lands, while the flush's data write
+   is still stalled (a one-second delay at its Petal submission). *)
+let test_reclaim_never_waits_on_data () =
+  Sim.run (fun () ->
+      let _, w, c = mkcache ~slot:9 in
+      log_inode c "reclaim";
+      let r = Wal.last_rid w in
+      dirty_data c ~b:0 ~n:1;
+      Faultpoint.reset ();
+      Faultpoint.enable ();
+      (* Petal write piece 1 is the log group's, piece 2 the data's. *)
+      Faultpoint.arm_site "petal.write_piece" ~at:2 (Faultpoint.Delay (Sim.sec 1.0));
+      let flushed = spawn_flush (fun () -> Cache.flush_lock c ino_lock) in
+      while Wal.durable_rid w < r do
+        Sim.sleep (Sim.ms 1)
+      done;
+      let t0 = Sim.now () in
+      Cache.flush_upto_rid c r;
+      Alcotest.(check bool) "reclaim did not wait out the stalled data write" true
+        (Sim.now () - t0 < Sim.sec 0.5);
+      Alcotest.(check int) "only the data block still dirty" 1 (Cache.dirty_count c);
+      Sim.Ivar.read flushed;
+      Faultpoint.reset ();
+      Alcotest.(check int) "all clean" 0 (Cache.dirty_count c))
+
+(* A flush whose data batch overflows the Petal client's 64-piece
+   in-flight pool, with the inode's record already durable: [k] runs
+   while the data still waits for pool slots, with faultpoints enabled
+   and the flush's Ivar in hand. *)
+let with_pool_overflow_flush ~slot k =
+  Sim.run (fun () ->
+      let vd, w, c = mkcache ~slot in
+      log_inode c "first";
+      Wal.flush w;
+      for i = 0 to 79 do
+        dirty_data c ~b:(16 * i) ~n:1
+      done;
+      Faultpoint.reset ();
+      Faultpoint.enable ();
+      let flushed = spawn_flush (fun () -> Cache.flush_lock c ino_lock) in
+      let pieces () = Faultpoint.count "petal.write_piece" in
+      let t0 = Sim.now () in
+      while pieces () <= Petal.Client.max_inflight_pieces && Sim.now () - t0 < Sim.sec 1.0 do
+        Sim.sleep (Sim.us 100)
+      done;
+      Alcotest.(check bool) "data batch overflows the pool" true
+        (pieces () > Petal.Client.max_inflight_pieces);
+      Alcotest.(check int) "nothing landed yet" 81 (Cache.dirty_count c);
+      k vd w c flushed;
+      Faultpoint.reset ())
+
+let inode_on_petal vd =
+  let b = Petal.Client.read vd ~off:ino ~len:Layout.sector in
+  (Stdext.Codec.get_int b 0, Bytes.sub_string b 8 5)
+
+(* The write-ahead rule when the log is already durable: a transaction
+   that commits a newer record for the inode while the flush's data
+   waits for pool slots (its log write held back a second) must not
+   get that version of the sector onto Petal ahead of the record. *)
+let test_commit_during_pool_overflow () =
+  with_pool_overflow_flush ~slot:10 (fun vd w c flushed ->
+      Faultpoint.arm_site "petal.write_piece"
+        ~at:(Faultpoint.count "petal.write_piece" + 1)
+        (Faultpoint.Delay (Sim.sec 1.0));
+      log_inode c "newer";
+      let r2 = Wal.last_rid w in
+      Sim.Ivar.read flushed;
+      Alcotest.(check bool) "newer record still held back" true (Wal.durable_rid w < r2);
+      Alcotest.(check (pair int string)) "Petal has only the durable version" (1, "first")
+        (inode_on_petal vd);
+      Wal.flush w;
+      Cache.flush_all c;
+      Alcotest.(check (pair int string)) "newer version once its record landed" (2, "newer")
+        (inode_on_petal vd))
+
+(* Likewise for a transaction still open while the data waits for pool
+   slots: its bytes never reach Petal, and once it aborts the sector
+   is written back with its committed content. *)
+let test_open_txn_during_pool_overflow () =
+  with_pool_overflow_flush ~slot:11 (fun vd _ c flushed ->
+      let aborted =
+        spawn_flush (fun () ->
+            try
+              Cache.with_txn c (fun txn ->
+                  Cache.update c txn ~lock:ino_lock ~addr:ino ~off:8
+                    ~bytes:(Bytes.of_string "wrong");
+                  Sim.sleep (Sim.sec 1.0);
+                  failwith "abort")
+            with Failure _ -> ())
+      in
+      Sim.Ivar.read flushed;
+      Alcotest.(check (pair int string)) "open transaction's bytes kept off Petal" (1, "first")
+        (inode_on_petal vd);
+      Sim.Ivar.read aborted;
+      Cache.flush_all c;
+      Alcotest.(check (pair int string)) "committed content after the abort" (1, "first")
+        (inode_on_petal vd);
+      Alcotest.(check int) "all clean" 0 (Cache.dirty_count c))
+
 let () =
   Alcotest.run "wal"
     [
@@ -321,5 +533,17 @@ let () =
           QCheck_alcotest.to_alcotest prop_scan_returns_complete_prefix_records;
           Alcotest.test_case "reclaim waits for in-flight flush" `Quick
             test_reclaim_waits_for_inflight_flush;
+          Alcotest.test_case "parked flushers write a sector once" `Quick
+            test_parked_flushers_write_once;
+          Alcotest.test_case "logged sector waits for its record" `Quick
+            test_logged_sector_waits_for_its_record;
+          Alcotest.test_case "data write overlaps the log flush" `Quick
+            test_data_overlaps_log_flush;
+          Alcotest.test_case "reclaim never waits on data" `Quick
+            test_reclaim_never_waits_on_data;
+          Alcotest.test_case "commit during pool overflow" `Quick
+            test_commit_during_pool_overflow;
+          Alcotest.test_case "open txn during pool overflow" `Quick
+            test_open_txn_during_pool_overflow;
         ] );
     ]
