@@ -6,7 +6,7 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table1  -- one experiment
      (targets: table1 table2 table3 fig5 fig6 fig7 fig8 fig9 ww
-               ablation micro)
+               ablation simbench scale soak json micro)
 
    Absolute numbers come from the simulator's calibrated constants
    (see EXPERIMENTS.md); what must match the paper is the SHAPE —
@@ -41,6 +41,20 @@ let four_columns (run : V.t -> 'a) : 'a list =
   ]
 
 let hrule = String.make 78 '-'
+
+(* Runs [f] on every element of [xs], each in a process of its own,
+   and returns once all of them have finished. *)
+let fork_join f xs =
+  let pending = ref (List.length xs) in
+  let all = Sim.Ivar.create () in
+  List.iter
+    (fun x ->
+      Sim.spawn (fun () ->
+          f x;
+          decr pending;
+          if !pending = 0 then Sim.Ivar.fill all ()))
+    xs;
+  Sim.Ivar.read all
 
 (* --- Table 1: Modified Andrew Benchmark --------------------------------- *)
 
@@ -134,19 +148,11 @@ let fig5 () =
             let t = T.build ~petal_servers:7 ~ndisks:9 () in
             let vfss = List.init n (fun i -> (i, V.of_frangipani (T.add_server t ()))) in
             let totals = ref [] in
-            let pending = ref n in
-            let all = Sim.Ivar.create () in
-            List.iter
+            fork_join
               (fun (i, v) ->
-                Sim.spawn (fun () ->
-                    let r =
-                      Workloads.Andrew.run v ~root_name:(Printf.sprintf "mab%d" i)
-                    in
-                    totals := r.Workloads.Andrew.total :: !totals;
-                    decr pending;
-                    if !pending = 0 then Sim.Ivar.fill all ()))
+                let r = Workloads.Andrew.run v ~root_name:(Printf.sprintf "mab%d" i) in
+                totals := r.Workloads.Andrew.total :: !totals)
               vfss;
-            Sim.Ivar.read all;
             List.fold_left ( +. ) 0.0 !totals /. float_of_int n)
       in
       if n = 1 then one := avg;
@@ -182,22 +188,16 @@ let fig6 () =
             List.iter (fun v -> v.V.drop_caches ()) vfss;
             (* Everybody reads the same set of files, staggered. *)
             let t0 = Sim.now () in
-            let pending = ref n in
-            let all = Sim.Ivar.create () in
-            List.iteri
-              (fun i v ->
-                Sim.spawn (fun () ->
-                    for fo = 0 to nfiles - 1 do
-                      let f = (fo + i) mod nfiles in
-                      let inum = v.V.lookup ~dir:v.V.root (Printf.sprintf "f%d" f) in
-                      for k = 0 to (fmb * mb / 65536) - 1 do
-                        ignore (v.V.read inum ~off:(k * 65536) ~len:65536)
-                      done
-                    done;
-                    decr pending;
-                    if !pending = 0 then Sim.Ivar.fill all ()))
-              vfss;
-            Sim.Ivar.read all;
+            fork_join
+              (fun (i, v) ->
+                for fo = 0 to nfiles - 1 do
+                  let f = (fo + i) mod nfiles in
+                  let inum = v.V.lookup ~dir:v.V.root (Printf.sprintf "f%d" f) in
+                  for k = 0 to (fmb * mb / 65536) - 1 do
+                    ignore (v.V.read inum ~off:(k * 65536) ~len:65536)
+                  done
+                done)
+              (List.mapi (fun i v -> (i, v)) vfss);
             float_of_int (n * nfiles * fmb) /. Sim.to_sec (Sim.now () - t0))
       in
       if n = 1 then one := agg;
@@ -222,21 +222,15 @@ let fig7 () =
             let t = T.build ~petal_servers:7 ~ndisks:9 ~disk_capacity:(256 * mb) () in
             let vfss = List.init n (fun _ -> V.of_frangipani (T.add_server t ())) in
             let t0 = Sim.now () in
-            let pending = ref n in
-            let all = Sim.Ivar.create () in
-            List.iteri
-              (fun i v ->
-                Sim.spawn (fun () ->
-                    let inum = v.V.create ~dir:v.V.root (Printf.sprintf "w%d" i) in
-                    let chunk = Bytes.make 65536 'w' in
-                    for k = 0 to (fmb * mb / 65536) - 1 do
-                      v.V.write inum ~off:(k * 65536) chunk
-                    done;
-                    v.V.sync ();
-                    decr pending;
-                    if !pending = 0 then Sim.Ivar.fill all ()))
-              vfss;
-            Sim.Ivar.read all;
+            fork_join
+              (fun (i, v) ->
+                let inum = v.V.create ~dir:v.V.root (Printf.sprintf "w%d" i) in
+                let chunk = Bytes.make 65536 'w' in
+                for k = 0 to (fmb * mb / 65536) - 1 do
+                  v.V.write inum ~off:(k * 65536) chunk
+                done;
+                v.V.sync ())
+              (List.mapi (fun i v -> (i, v)) vfss);
             float_of_int (n * fmb) /. Sim.to_sec (Sim.now () - t0))
       in
       if n = 1 then one := agg;
@@ -433,13 +427,83 @@ let ablation () =
      sequential read\n"
     (seq_read true) (seq_read false)
 
-(* --- BENCH_2.json: machine-readable perf trajectory -------------------------------- *)
+(* --- BENCH_<n>.json: machine-readable perf trajectory ------------------------------- *)
 
-(* Every PR appends a BENCH_<n>.json so later PRs can diff throughput
-   and latency percentiles against this one (bench/check_regress.exe
-   does exactly that and fails on a >20% throughput drop). Latencies
-   are simulated milliseconds; throughput is MB/s of simulated
-   time. *)
+(* Every PR appends a BENCH_<n>.json so later PRs can diff against it.
+   bench/check_regress.exe gates the "workloads", "sim", "scale" and
+   "soak" sections, each with its own tolerance; "petal_io", "wal",
+   "net" and "reconf" are counters it does not gate. Latencies are
+   simulated milliseconds; throughput is MB/s of simulated time.
+
+   The "pr" field is derived from the filename (BENCH_5.json shipped
+   with a hand-typed "pr": 4 — wrong, and silently so); keeping one
+   constant makes the two impossible to disagree. *)
+let bench_out = "BENCH_15.json"
+let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
+
+(* A row field: an int, or a float with its fixed number of decimals. *)
+type value = I of int | F of int * float
+
+let show = function I n -> string_of_int n | F (d, x) -> Printf.sprintf "%.*f" d x
+
+(* Every row recorded so far, newest first: (section, name, fields).
+   The experiments record rows as they run; [write_json] dumps them
+   in [sections] order. *)
+let rows : (string * string * (string * value) list) list ref = ref []
+
+let sections =
+  [ "workloads"; "petal_io"; "wal"; "net"; "reconf"; "soak"; "sim"; "scale" ]
+
+let row section name fields =
+  rows := (section, name, fields) :: !rows;
+  Printf.printf "  %-9s %-26s %s\n%!" section name
+    (String.concat "  " (List.map (fun (k, v) -> k ^ " " ^ show v) fields))
+
+let section_rows section =
+  List.rev (List.filter (fun (s, _, _) -> s = section) !rows)
+
+(* Per-layer counters, by section and key: what a workload cost in
+   Petal pieces and round trips and what the read- and write-side
+   coalescers saved, NVRAM destage batches (a global counter), log
+   groups, pipeline overlaps, log-pressure stalls and reclaim rounds,
+   RPC attempts, timeouts and retransmissions, and lease renewal
+   rounds (a missed one brushes the §6 expiry hazard). *)
+let petal_counters (s : Petal.Client.stats) =
+  ( "petal_io",
+    [
+      ("read_pieces", s.read_pieces);
+      ("read_rpcs", s.read_rpcs);
+      ("read_coalesced", s.read_coalesced);
+      ("write_pieces", s.write_pieces);
+      ("write_rpcs", s.write_rpcs);
+      ("write_coalesced", s.write_coalesced);
+      ("destage_batches", Blockdev.Nvram.destage_batches ());
+    ] )
+
+let fs_counters fs =
+  let (w : Frangipani.Wal.wal_stats) = Frangipani.Fs.wal_stats fs
+  and (r : Cluster.Rpc.stats) = Frangipani.Fs.net_stats fs
+  and (l : Locksvc.Clerk.stats) = Frangipani.Fs.lease_stats fs in
+  [
+    petal_counters (Frangipani.Fs.petal_stats fs);
+    ( "wal",
+      [
+        ("flush_groups", w.flush_groups);
+        ("pipeline_overlaps", w.pipeline_overlaps);
+        ("log_pressure_stalls", w.log_pressure_stalls);
+        ("reclaim_rounds", w.reclaim_rounds);
+      ] );
+    ( "net",
+      [
+        ("rpc_calls", r.calls);
+        ("rpc_attempts", r.attempts);
+        ("rpc_timeouts", r.timeouts);
+        ("rpc_retries", r.retries);
+        ("dups_suppressed", r.dups_suppressed);
+        ("renew_rounds", l.renew_rounds);
+        ("renew_misses", l.renew_misses);
+      ] );
+  ]
 
 let percentile_ms samples p =
   match samples with
@@ -452,153 +516,54 @@ let percentile_ms samples p =
 
 let ms_of t = Sim.to_sec t *. 1000.0
 
-(* Per-workload Petal driver counters: what a workload cost in Petal
-   round trips and simulated device time, and what the read- and
-   write-side coalescers saved (plus the NVRAM destage elevator's
-   batch count, a global counter snapshotted like the rest). [prev]
-   is the snapshot taken before the workload. Collected into the
-   json's counter-only "petal_io" section. *)
-let petal_rows :
-    (string * (int * int * int * int * int * int * int)) list ref =
-  ref []
+(* Latencies in ms of [op 0] .. [op (n - 1)], run back to back. *)
+let op_latencies n op =
+  List.init n (fun i ->
+      let s = Sim.now () in
+      op i;
+      ms_of (Sim.now () - s))
 
-let print_petal_delta name ?(destage0 = 0) (prev : Petal.Client.stats)
-    (s : Petal.Client.stats) =
-  let rp = s.read_pieces - prev.read_pieces
-  and rr = s.read_rpcs - prev.read_rpcs
-  and rc = s.read_coalesced - prev.read_coalesced
-  and wp = s.write_pieces - prev.write_pieces
-  and wr = s.write_rpcs - prev.write_rpcs
-  and wc = s.write_coalesced - prev.write_coalesced in
-  let destage = Blockdev.Nvram.destage_batches () - destage0 in
-  petal_rows := !petal_rows @ [ (name, (rp, rr, rc, wp, wr, wc, destage)) ];
-  Printf.printf
-    "  petal[%-22s] reads %5d (%6.3fs)  writes %5d (%6.3fs)  rd p/rpc/coal \
-     %d/%d/%d  wr p/rpc/coal %d/%d/%d  destage %d\n"
-    name (s.reads - prev.reads)
-    (s.read_seconds -. prev.read_seconds)
-    (s.writes - prev.writes)
-    (s.write_seconds -. prev.write_seconds)
-    rp rr rc wp wr wc destage
-
-(* Per-workload log-pipeline counters (the wal section): how many
-   sector groups the flush path submitted, how often formatting
-   overlapped an in-flight group, how often the circular log filled
-   enough to stall a writer, and how many reclaim rounds ran.
-   Counter-only — check_regress ignores the section. *)
-let wal_rows : (string * (int * int * int * int)) list ref = ref []
-
-let print_wal_delta name (p : Frangipani.Wal.wal_stats)
-    (s : Frangipani.Wal.wal_stats) =
-  let row =
-    ( s.Frangipani.Wal.flush_groups - p.Frangipani.Wal.flush_groups,
-      s.Frangipani.Wal.pipeline_overlaps - p.Frangipani.Wal.pipeline_overlaps,
-      s.Frangipani.Wal.log_pressure_stalls
-      - p.Frangipani.Wal.log_pressure_stalls,
-      s.Frangipani.Wal.reclaim_rounds - p.Frangipani.Wal.reclaim_rounds )
-  in
-  let groups, overlaps, stalls, reclaims = row in
-  wal_rows := !wal_rows @ [ (name, row) ];
-  Printf.printf
-    "  wal  [%-22s] groups %5d  overlaps %5d  log-pressure stalls %3d  \
-     reclaims %3d\n"
-    name groups overlaps stalls reclaims
-
-(* Per-workload network counters: what a workload cost in RPC
-   attempts, timeouts and retransmissions, and how often lease
-   renewal brushed the §6 hazard. Also collected into the json's
-   "net" section (counter-only — check_regress reads only the
-   "workloads" section). *)
-let net_rows : (string * (int * int * int * int * int * int * int)) list ref =
-  ref []
-
-let print_net_delta name (p_rpc : Cluster.Rpc.stats) (p_cl : Locksvc.Clerk.stats)
-    (rpc : Cluster.Rpc.stats) (cl : Locksvc.Clerk.stats) =
-  let row =
-    ( rpc.calls - p_rpc.calls,
-      rpc.attempts - p_rpc.attempts,
-      rpc.timeouts - p_rpc.timeouts,
-      rpc.retries - p_rpc.retries,
-      rpc.dups_suppressed - p_rpc.dups_suppressed,
-      cl.renew_rounds - p_cl.renew_rounds,
-      cl.renew_misses - p_cl.renew_misses )
-  in
-  let calls, attempts, timeouts, retries, dups, rounds, misses = row in
-  net_rows := !net_rows @ [ (name, row) ];
-  Printf.printf
-    "  net  [%-22s] calls %6d  attempts %6d  timeouts %4d  retries %4d  \
-     dups %4d  renew %d rounds / %d missed\n"
-    name calls attempts timeouts retries dups rounds misses
-
-(* The machine-readable snapshot this PR emits. The "pr" field is
-   derived from the filename (BENCH_5.json shipped with a hand-typed
-   "pr": 4 — wrong, and silently so); keeping one constant makes the
-   two impossible to disagree. *)
-let bench_out = "BENCH_14.json"
-let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
-
-(* Row stores for the emitter: json_bench (workloads, reconf) runs
-   before simbench and scale in file order, but the JSON file is
-   written by [write_json] below, after all three have populated
-   these. *)
-let json_rows : (string * float * int * float * float) list ref = ref []
-let reconf_rows : (string * float * int * int) list ref = ref []
+(* Runs [ops], which moves [bytes] and returns its per-op latencies,
+   and records its "workloads" row plus, for every section of
+   [counters], how much those counters grew meanwhile. *)
+let measure name ~counters ~bytes ops =
+  let before = counters () in
+  let t0 = Sim.now () in
+  let lats = ops () in
+  let elapsed = Sim.to_sec (Sim.now () - t0) in
+  let thr = if elapsed > 0. then float_of_int bytes /. 1e6 /. elapsed else 0. in
+  row "workloads" name
+    [
+      ("throughput_mb_per_s", F (3, thr));
+      ("ops", I (List.length lats));
+      ("p50_ms", F (3, percentile_ms lats 0.5));
+      ("p99_ms", F (3, percentile_ms lats 0.99));
+    ];
+  List.iter2
+    (fun (section, b) (_, a) ->
+      row section name (List.map2 (fun (k, x) (_, y) -> (k, I (y - x))) b a))
+    before (counters ())
 
 let json_bench () =
   print_endline hrule;
   Printf.printf "%s: throughput + latency percentiles per workload\n" bench_out;
-  let results = json_rows in
-  let record name ~bytes ~elapsed lats =
-    let thr =
-      if elapsed > 0 then float_of_int bytes /. 1e6 /. Sim.to_sec elapsed else 0.0
-    in
-    results :=
-      (name, thr, List.length lats, percentile_ms lats 0.5, percentile_ms lats 0.99)
-      :: !results
-  in
   (* Frangipani large-file sequential write + read, per-64KB-op latency. *)
   Sim.run (fun () ->
       let t = T.build ~petal_servers:7 ~ndisks:9 ~disk_capacity:(128 * mb) () in
       let fs = T.add_server t () in
+      let counters () = fs_counters fs in
       let v = V.of_frangipani fs in
       let unit_b = 65536 in
       let units = 16 * mb / unit_b in
       let data = Bytes.make unit_b 'J' in
       let inum = v.V.create ~dir:v.V.root "jbig" in
-      let lats = ref [] in
-      let p0 = Frangipani.Fs.petal_stats fs in
-      let w0 = Frangipani.Fs.wal_stats fs in
-      let n0 = Frangipani.Fs.net_stats fs and l0 = Frangipani.Fs.lease_stats fs in
-      let t0 = Sim.now () in
-      for i = 0 to units - 1 do
-        let s = Sim.now () in
-        v.V.write inum ~off:(i * unit_b) data;
-        lats := ms_of (Sim.now () - s) :: !lats
-      done;
-      v.V.sync ();
-      record "largefile_write_16mb" ~bytes:(units * unit_b)
-        ~elapsed:(Sim.now () - t0) !lats;
-      print_petal_delta "largefile_write_16mb" p0 (Frangipani.Fs.petal_stats fs);
-      print_wal_delta "largefile_write_16mb" w0 (Frangipani.Fs.wal_stats fs);
-      print_net_delta "largefile_write_16mb" n0 l0 (Frangipani.Fs.net_stats fs)
-        (Frangipani.Fs.lease_stats fs);
+      measure "largefile_write_16mb" ~counters ~bytes:(units * unit_b) (fun () ->
+          let lats = op_latencies units (fun i -> v.V.write inum ~off:(i * unit_b) data) in
+          v.V.sync ();
+          lats);
       v.V.drop_caches ();
-      let lats = ref [] in
-      let p0 = Frangipani.Fs.petal_stats fs in
-      let w0 = Frangipani.Fs.wal_stats fs in
-      let n0 = Frangipani.Fs.net_stats fs and l0 = Frangipani.Fs.lease_stats fs in
-      let t0 = Sim.now () in
-      for i = 0 to units - 1 do
-        let s = Sim.now () in
-        ignore (v.V.read inum ~off:(i * unit_b) ~len:unit_b);
-        lats := ms_of (Sim.now () - s) :: !lats
-      done;
-      record "largefile_read_16mb" ~bytes:(units * unit_b)
-        ~elapsed:(Sim.now () - t0) !lats;
-      print_petal_delta "largefile_read_16mb" p0 (Frangipani.Fs.petal_stats fs);
-      print_wal_delta "largefile_read_16mb" w0 (Frangipani.Fs.wal_stats fs);
-      print_net_delta "largefile_read_16mb" n0 l0 (Frangipani.Fs.net_stats fs)
-        (Frangipani.Fs.lease_stats fs));
+      measure "largefile_read_16mb" ~counters ~bytes:(units * unit_b) (fun () ->
+          op_latencies units (fun i -> ignore (v.V.read inum ~off:(i * unit_b) ~len:unit_b))));
   (* 30 parallel uncached 8 KB reads (paper §9.2 aside). *)
   Sim.run (fun () ->
       let t = T.build ~petal_servers:7 ~ndisks:9 ~disk_capacity:(128 * mb) () in
@@ -612,28 +577,16 @@ let json_bench () =
       in
       v.V.sync ();
       v.V.drop_caches ();
-      let lats = ref [] in
-      let p0 = Frangipani.Fs.petal_stats fs in
-      let w0 = Frangipani.Fs.wal_stats fs in
-      let n0 = Frangipani.Fs.net_stats fs and l0 = Frangipani.Fs.lease_stats fs in
-      let t0 = Sim.now () in
-      let pending = ref (List.length files) in
-      let all = Sim.Ivar.create () in
-      List.iter
-        (fun inum ->
-          Sim.spawn (fun () ->
+      measure "small_reads_30x8kb" ~counters:(fun () -> fs_counters fs) ~bytes:(30 * 8192)
+        (fun () ->
+          let lats = ref [] in
+          fork_join
+            (fun inum ->
               let s = Sim.now () in
               ignore (v.V.read inum ~off:0 ~len:8192);
-              lats := ms_of (Sim.now () - s) :: !lats;
-              decr pending;
-              if !pending = 0 then Sim.Ivar.fill all ()))
-        files;
-      Sim.Ivar.read all;
-      record "small_reads_30x8kb" ~bytes:(30 * 8192) ~elapsed:(Sim.now () - t0) !lats;
-      print_petal_delta "small_reads_30x8kb" p0 (Frangipani.Fs.petal_stats fs);
-      print_wal_delta "small_reads_30x8kb" w0 (Frangipani.Fs.wal_stats fs);
-      print_net_delta "small_reads_30x8kb" n0 l0 (Frangipani.Fs.net_stats fs)
-        (Frangipani.Fs.lease_stats fs));
+              lats := ms_of (Sim.now () - s) :: !lats)
+            files;
+          !lats));
   (* Raw Petal write latency: one chunk vs a 3-chunk scatter. The
      acceptance check for the async client is the ratio of these two —
      a multi-chunk write should cost ~1 round-trip, not N. The Petal
@@ -651,24 +604,18 @@ let json_bench () =
         let c = Petal.Testbed.client tb ~rpc in
         let vd = Petal.Client.open_vdisk c (Petal.Client.create_vdisk c ~nrep:2) in
         let data = Bytes.make len 'p' in
-        let lats = ref [] in
-        let p0 = Petal.Client.op_stats vd in
-        let d0 = Blockdev.Nvram.destage_batches () in
-        let t0 = Sim.now () in
-        for i = 0 to reps - 1 do
-          let s = Sim.now () in
-          Petal.Client.write vd ~off:(i * 4 * Petal.Protocol.chunk_bytes) data;
-          lats := ms_of (Sim.now () - s) :: !lats
-        done;
-        record name ~bytes:(reps * len) ~elapsed:(Sim.now () - t0) !lats;
-        print_petal_delta name ~destage0:d0 p0 (Petal.Client.op_stats vd))
+        measure name
+          ~counters:(fun () -> [ petal_counters (Petal.Client.op_stats vd) ])
+          ~bytes:(reps * len)
+          (fun () ->
+            op_latencies reps (fun i ->
+                Petal.Client.write vd ~off:(i * 4 * Petal.Protocol.chunk_bytes) data)))
   in
   petal_write "petal_write_64kb_1chunk" ~reps:20 ~len:Petal.Protocol.chunk_bytes;
   petal_write "petal_write_192kb_3chunks" ~reps:20 ~len:(3 * Petal.Protocol.chunk_bytes);
   (* Reconfiguration drain cost: how long the Paxos-agreed ownership
      handoff takes to stream a settled 8 MB store to a joining (then
-     from a leaving) member, and how much data moves. Collected into
-     the json's "reconf" section (counter-only observability). *)
+     from a leaving) member, and how much data moves. *)
   Sim.run (fun () ->
       let net = Cluster.Net.create () in
       let tb = Petal.Testbed.build ~net ~nservers:5 ~nactive:4 ~ndisks:3 () in
@@ -692,33 +639,24 @@ let json_bench () =
         in
         go 600
       in
-      let measure name f =
+      let drain name f =
         let p0 = sum Petal.Server.xfer_push_count in
         let b0 = sum Petal.Server.xfer_bytes_pushed in
         let t0 = Sim.now () in
         f ();
-        let row =
-          ( name,
-            Sim.to_sec (Sim.now () - t0),
-            sum Petal.Server.xfer_push_count - p0,
-            sum Petal.Server.xfer_bytes_pushed - b0 )
-        in
-        reconf_rows := !reconf_rows @ [ row ];
-        let _, secs, pushes, bytes = row in
-        Printf.printf "  reconf[%-13s] drain %6.2f s  pushes %5d  bytes %9d\n"
-          name secs pushes bytes
+        row "reconf" name
+          [
+            ("drain_seconds", F (3, Sim.to_sec (Sim.now () - t0)));
+            ("chunks_pushed", I (sum Petal.Server.xfer_push_count - p0));
+            ("bytes_migrated", I (sum Petal.Server.xfer_bytes_pushed - b0));
+          ]
       in
-      measure "join_standby" (fun () ->
+      drain "join_standby" (fun () ->
           Petal.Client.add_server c ~idx:4;
           await_epoch 1);
-      measure "drain_member" (fun () ->
+      drain "drain_member" (fun () ->
           Petal.Client.remove_server c ~idx:0;
-          await_epoch 2));
-  List.iter
-    (fun (name, thr, ops, p50, p99) ->
-      Printf.printf "%-28s %8.1f MB/s %5d ops  p50 %8.3f ms  p99 %8.3f ms\n" name
-        thr ops p50 p99)
-    (List.rev !results)
+          await_epoch 2))
 
 (* --- simbench: simulation-kernel microbenchmarks ----------------------------------- *)
 
@@ -726,10 +664,7 @@ let json_bench () =
    system: the scale experiments live or die on this number, so it is
    measured (host wall clock) and regression-gated like any I/O path.
    Each workload stresses one kernel hot path with a known op count;
-   ns/op = host seconds / ops. Rows are collected for the json's
-   "sim" section. *)
-
-let simbench_rows : (string * int * float) list ref = ref []
+   ns/op = host seconds / ops. Rows go to the json's "sim" section. *)
 
 let sim_row name ops f =
   (* Start each measurement from a compacted heap: these rows are
@@ -740,10 +675,7 @@ let sim_row name ops f =
   let t0 = Sys.time () in
   f ();
   let dt = Sys.time () -. t0 in
-  let ns = dt *. 1e9 /. float_of_int ops in
-  simbench_rows := !simbench_rows @ [ (name, ops, ns) ];
-  Printf.printf "  %-24s %9d ops %10.1f ns/op %10.2f Mops/s\n" name ops ns
-    (float_of_int ops /. dt /. 1e6)
+  row "sim" name [ ("ops", I ops); ("ns_per_op", F (1, dt *. 1e9 /. float_of_int ops)) ]
 
 let simbench () =
   print_endline hrule;
@@ -778,17 +710,12 @@ let simbench () =
   sim_row "resource_contention" 160_000 (fun () ->
       Sim.run (fun () ->
           let r = Sim.Resource.create ~capacity:2 "bench" in
-          let left = ref 16 in
-          let all = Sim.Ivar.create () in
-          for _ = 1 to 16 do
-            Sim.spawn (fun () ->
-                for _ = 1 to 10_000 do
-                  Sim.Resource.use r (Sim.us 2)
-                done;
-                decr left;
-                if !left = 0 then Sim.Ivar.fill all ())
-          done;
-          Sim.Ivar.read all));
+          fork_join
+            (fun () ->
+              for _ = 1 to 10_000 do
+                Sim.Resource.use r (Sim.us 2)
+              done)
+            (List.init 16 ignore)));
   (* Process spawn/teardown: the per-message fiber cost. *)
   sim_row "spawn_churn" 200_000 (fun () ->
       Sim.run (fun () ->
@@ -822,10 +749,6 @@ let simbench () =
    host time and host wall-clock per simulated second — is recorded
    as a first-class, regression-gated metric. *)
 
-let scale_rows :
-    (int * Workloads.Multitenant.result * Sim.stats * float) list ref =
-  ref []
-
 let scale_one n =
   Gc.compact () (* same rationale as [sim_row]: gated metric *);
   let host0 = Sys.time () in
@@ -840,16 +763,19 @@ let scale_one n =
         (r, Sim.stats ()))
   in
   let host_secs = Sys.time () -. host0 in
-  Printf.printf "    [sim] events %d spawns %d skipped %d heap_len %d\n%!"
-    st.Sim.events st.Sim.spawns st.Sim.skipped st.Sim.heap_len;
-  scale_rows := !scale_rows @ [ (n, r, st, host_secs) ];
   let open Workloads.Multitenant in
-  Printf.printf
-    "  %3d servers: %6d ops %5d files %8.0f ops/s %7.2f MB/s | sim %6.2f s  \
-     host %6.2f s  %9.0f ev/s  %6.3f host-s/sim-s\n%!"
-    n r.ops r.distinct_files r.ops_per_sec r.mb_per_s r.seconds host_secs
-    (float_of_int st.Sim.events /. host_secs)
-    (host_secs /. r.seconds)
+  row "scale" (Printf.sprintf "servers_%d" n)
+    [
+      ("ops", I r.ops);
+      ("distinct_files", I r.distinct_files);
+      ("fs_ops_per_sec", F (1, r.ops_per_sec));
+      ("mb_per_s", F (3, r.mb_per_s));
+      ("sim_seconds", F (3, r.seconds));
+      ("host_seconds", F (3, host_secs));
+      ("sim_events", I st.Sim.events);
+      ("events_per_sec", F (0, float_of_int st.Sim.events /. host_secs));
+      ("host_sec_per_sim_sec", F (4, host_secs /. r.seconds));
+    ]
 
 let scale () =
   print_endline hrule;
@@ -864,11 +790,10 @@ let scale () =
 
 (* A bench-sized slice of the soak harness (the 20-seed x 1-hour run
    is `test/sweep_full.exe soak`): the everything-composed scripted
-   round plus one short seeded round. Counters only — the numbers
-   that matter for the trajectory are how much invariant checking ran
-   and how long the worst hot-chunk cutover took. *)
-let soak_rows : (string * Workloads.Soak.outcome * float) list ref = ref []
-
+   round plus one short seeded round. The numbers that matter for the
+   trajectory are how much invariant checking ran and how long the
+   worst hot-chunk cutover took; both are simulated-time counters, so
+   deterministic. *)
 let soak_bench () =
   print_endline hrule;
   print_endline
@@ -882,14 +807,20 @@ let soak_bench () =
     (match Soak.failures o with
     | [] -> ()
     | f :: _ -> Printf.printf "  %s: FAILED: %s\n" name f);
-    Printf.printf
-      "  %-16s %4.2f sim-h in %5.1f host-s  acked %5d  freeze rej %4d  \
-       cutover %5.1f s  checks %3d  violations %d\n"
-      name o.Soak.sim_hours host o.Soak.acked o.Soak.freeze_rejects
-      (Sim.to_sec o.Soak.max_cutover_ns)
-      o.Soak.checks_run
-      (List.length o.Soak.violations);
-    soak_rows := !soak_rows @ [ (name, o, host) ]
+    row "soak" name
+      [
+        ("sim_hours", F (2, o.Soak.sim_hours));
+        ("host_seconds", F (1, host));
+        ("acked", I o.Soak.acked);
+        ("failed_ops", I o.Soak.failed_ops);
+        ("freeze_rejects", I o.Soak.freeze_rejects);
+        ("freeze_waits", I o.Soak.freeze_waits);
+        ("max_cutover_s", F (3, Sim.to_sec o.Soak.max_cutover_ns));
+        ("invariant_checks", I o.Soak.checks_run);
+        ("violations", I (List.length o.Soak.violations));
+        ("wal_reclaims", I o.Soak.wal_reclaims);
+        ("log_replays", I o.Soak.replays);
+      ]
   in
   one "composed_quick" (Soak.Scripted "composed_quick");
   one "seeded_600s" ~duration:(Sim.sec 600.0) ~fs_servers:16
@@ -897,110 +828,26 @@ let soak_bench () =
 
 (* --- machine-readable snapshot ------------------------------------------------------ *)
 
-(* Writes [bench_out] from the rows the other experiments collected,
-   running any producer that has not run yet (so `bench json` alone
-   still emits a complete file). Sections: "workloads" (+"net",
-   "reconf") from json_bench, "sim" from simbench, "scale" from the
-   cluster-scaling runs, "soak" from the composed-nemesis rounds.
-   check_regress gates "workloads", "sim", "scale" and "soak". *)
+(* Writes [bench_out] from the recorded rows, one single-line object
+   per row under one header line per section (check_regress parses
+   that line format), first running any producer whose section is
+   still empty, so `bench json` alone emits a complete file. *)
 let write_json () =
-  if !json_rows = [] then json_bench ();
-  if !simbench_rows = [] then simbench ();
-  if !scale_rows = [] then scale ();
-  if !soak_rows = [] then soak_bench ();
-  let rows = List.rev !json_rows in
+  List.iter
+    (fun (section, run) -> if section_rows section = [] then run ())
+    [ ("workloads", json_bench); ("sim", simbench); ("scale", scale); ("soak", soak_bench) ];
   let oc = open_out bench_out in
-  Printf.fprintf oc "{\n  \"pr\": %d,\n  \"workloads\": {\n" bench_pr;
-  List.iteri
-    (fun i (name, thr, ops, p50, p99) ->
-      Printf.fprintf oc
-        "    %S: { \"throughput_mb_per_s\": %.3f, \"ops\": %d, \"p50_ms\": %.3f, \
-         \"p99_ms\": %.3f }%s\n"
-        name thr ops p50 p99
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  (* Counter-only observability sections: check_regress does not gate
-     the "petal_io", "wal", "net" or "reconf" rows. *)
-  Printf.fprintf oc "  },\n  \"petal_io\": {\n";
-  List.iteri
-    (fun i (name, (rp, rr, rc, wp, wr, wc, destage)) ->
-      Printf.fprintf oc
-        "    %S: { \"read_pieces\": %d, \"read_rpcs\": %d, \"read_coalesced\": \
-         %d, \"write_pieces\": %d, \"write_rpcs\": %d, \"write_coalesced\": \
-         %d, \"destage_batches\": %d }%s\n"
-        name rp rr rc wp wr wc destage
-        (if i = List.length !petal_rows - 1 then "" else ","))
-    !petal_rows;
-  Printf.fprintf oc "  },\n  \"wal\": {\n";
-  List.iteri
-    (fun i (name, (groups, overlaps, stalls, reclaims)) ->
-      Printf.fprintf oc
-        "    %S: { \"flush_groups\": %d, \"pipeline_overlaps\": %d, \
-         \"log_pressure_stalls\": %d, \"reclaim_rounds\": %d }%s\n"
-        name groups overlaps stalls reclaims
-        (if i = List.length !wal_rows - 1 then "" else ","))
-    !wal_rows;
-  Printf.fprintf oc "  },\n  \"net\": {\n";
-  List.iteri
-    (fun i (name, (calls, attempts, timeouts, retries, dups, rounds, misses)) ->
-      Printf.fprintf oc
-        "    %S: { \"rpc_calls\": %d, \"rpc_attempts\": %d, \"rpc_timeouts\": \
-         %d, \"rpc_retries\": %d, \"dups_suppressed\": %d, \"renew_rounds\": \
-         %d, \"renew_misses\": %d }%s\n"
-        name calls attempts timeouts retries dups rounds misses
-        (if i = List.length !net_rows - 1 then "" else ","))
-    !net_rows;
-  Printf.fprintf oc "  },\n  \"reconf\": {\n";
-  List.iteri
-    (fun i (name, secs, pushes, bytes) ->
-      Printf.fprintf oc
-        "    %S: { \"drain_seconds\": %.3f, \"chunks_pushed\": %d, \
-         \"bytes_migrated\": %d }%s\n"
-        name secs pushes bytes
-        (if i = List.length !reconf_rows - 1 then "" else ","))
-    !reconf_rows;
-  (* The "soak" rows are simulated-time counters, so deterministic;
-     check_regress gates invariant_checks and max_cutover_s. *)
-  Printf.fprintf oc "  },\n  \"soak\": {\n";
-  List.iteri
-    (fun i (name, (o : Workloads.Soak.outcome), host) ->
-      Printf.fprintf oc
-        "    %S: { \"sim_hours\": %.2f, \"host_seconds\": %.1f, \"acked\": %d, \
-         \"failed_ops\": %d, \"freeze_rejects\": %d, \"freeze_waits\": %d, \
-         \"max_cutover_s\": %.3f, \"invariant_checks\": %d, \"violations\": \
-         %d, \"wal_reclaims\": %d, \"log_replays\": %d }%s\n"
-        name o.Workloads.Soak.sim_hours host o.Workloads.Soak.acked
-        o.Workloads.Soak.failed_ops o.Workloads.Soak.freeze_rejects
-        o.Workloads.Soak.freeze_waits
-        (Sim.to_sec o.Workloads.Soak.max_cutover_ns)
-        o.Workloads.Soak.checks_run
-        (List.length o.Workloads.Soak.violations)
-        o.Workloads.Soak.wal_reclaims o.Workloads.Soak.replays
-        (if i = List.length !soak_rows - 1 then "" else ","))
-    !soak_rows;
-  Printf.fprintf oc "  },\n  \"sim\": {\n";
-  List.iteri
-    (fun i (name, ops, ns) ->
-      Printf.fprintf oc "    %S: { \"ops\": %d, \"ns_per_op\": %.1f }%s\n" name
-        ops ns
-        (if i = List.length !simbench_rows - 1 then "" else ","))
-    !simbench_rows;
-  Printf.fprintf oc "  },\n  \"scale\": {\n";
-  List.iteri
-    (fun i (n, r, st, host_secs) ->
-      let open Workloads.Multitenant in
-      Printf.fprintf oc
-        "    \"servers_%d\": { \"ops\": %d, \"distinct_files\": %d, \
-         \"fs_ops_per_sec\": %.1f, \"mb_per_s\": %.3f, \"sim_seconds\": %.3f, \
-         \"host_seconds\": %.3f, \"sim_events\": %d, \"events_per_sec\": %.0f, \
-         \"host_sec_per_sim_sec\": %.4f }%s\n"
-        n r.ops r.distinct_files r.ops_per_sec r.mb_per_s r.seconds host_secs
-        st.Sim.events
-        (float_of_int st.Sim.events /. host_secs)
-        (host_secs /. r.seconds)
-        (if i = List.length !scale_rows - 1 then "" else ","))
-    !scale_rows;
-  Printf.fprintf oc "  }\n}\n";
+  Printf.fprintf oc "{\n  \"pr\": %d" bench_pr;
+  let line (_, name, fields) =
+    Printf.sprintf "    %S: { %s }" name
+      (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (show v)) fields))
+  in
+  List.iter
+    (fun section ->
+      Printf.fprintf oc ",\n  %S: {\n%s\n  }" section
+        (String.concat ",\n" (List.map line (section_rows section))))
+    sections;
+  output_string oc "\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n" bench_out
 

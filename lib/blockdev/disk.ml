@@ -40,7 +40,6 @@ let capacity t = t.capacity
 let arm t = t.arm
 let fail t = t.failed <- true
 let heal t = t.failed <- false
-let is_failed t = t.failed
 let damage_sector t s = Hashtbl.replace t.damaged s ()
 
 let check t ~off ~len =

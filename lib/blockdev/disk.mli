@@ -58,4 +58,3 @@ val damage_sector : t -> int -> unit
 (** Mark one sector as returning CRC errors on read (until it is
     next overwritten). *)
 
-val is_failed : t -> bool

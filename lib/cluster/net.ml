@@ -64,9 +64,7 @@ let rx_link p = p.rx
 let set_reachable t f = t.reachable <- f
 let clear_partition t = t.reachable <- (fun _ _ -> true)
 let set_fault_cut t f = t.fault_cut <- f
-let clear_fault_cut t = t.fault_cut <- (fun _ _ -> false)
 let set_netem t f = t.netem <- Some f
-let clear_netem t = t.netem <- None
 let addrs t = List.rev_map (fun p -> p.paddr) t.ports
 
 let find_port t a = List.find_opt (fun p -> p.paddr = a) t.ports

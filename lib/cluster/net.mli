@@ -89,8 +89,6 @@ val set_fault_cut : t -> (addr -> addr -> bool) -> unit
     expressible. ANDed with {!set_reachable} (a message must be
     reachable and not cut). *)
 
-val clear_fault_cut : t -> unit
-
 type fate = Deliver | Lose | Delay of Simkit.Sim.time
 (** What the network-emulation hook decides for one message. *)
 
@@ -102,4 +100,3 @@ val set_netem : t -> (addr -> addr -> int -> fate) -> unit
     to its in-flight time (cuts installed during the extra delay
     still apply). *)
 
-val clear_netem : t -> unit

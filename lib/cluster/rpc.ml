@@ -2,8 +2,6 @@ open Simkit
 
 type error = [ `Timeout ]
 
-let pp_error fmt `Timeout = Format.pp_print_string fmt "timeout"
-
 type Net.payload +=
   | Req of { id : int; dedup : bool; body : Net.payload }
   | Reply of { id : int; body : Net.payload }

@@ -7,8 +7,6 @@
 
 type error = [ `Timeout ]
 
-val pp_error : Format.formatter -> error -> unit
-
 type handler = src:Net.addr -> Net.payload -> (Net.payload * int) option
 (** A handler inspects a request body; if it recognises it, it
     returns [Some (reply, reply_size_bytes)]. Handlers may block. *)

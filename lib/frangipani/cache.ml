@@ -359,8 +359,17 @@ let submit t entries =
    bumps the generation — is left dirty: the records this flush waited
    for already made the content it saw durable, and a later flush
    writes the newer content once its own record lands. Entries in
-   flight elsewhere are not re-sent but waited for at the end (the
-   durability barrier). *)
+   flight elsewhere are waited for at the end (the durability
+   barrier). A data block among them may have been rewritten after
+   that other flush copied it, so the data still dirty after the wait
+   is sent once more and waited for: an fsync must not return, nor a
+   revoke give up its hold, before the newer bytes are on Petal. One
+   round suffices, as anything in flight by then was copied after this
+   call began. A pinned one is not sent: an open transaction modified
+   it after this call began, and its record is not yet logged. A logged
+   entry gets no second round: its record makes it durable, and a
+   second log wait could recurse into the log flush a reclaim was
+   called from. *)
 let write_back t candidates =
   let busy, idle = List.partition (fun e -> e.flushing) candidates in
   let logged, data = List.partition (fun e -> e.rid > 0) idle in
@@ -383,12 +392,16 @@ let write_back t candidates =
    with
   | ex :: _ -> raise ex
   | [] -> ());
-  List.iter
-    (fun e ->
-      while e.flushing do
-        Sim.Condition.wait t.flush_done
-      done)
-    (busy @ logged)
+  let await =
+    List.iter (fun e ->
+        while e.flushing do
+          Sim.Condition.wait t.flush_done
+        done)
+  in
+  await (busy @ logged);
+  let rewritten = List.filter (fun e -> e.rid = 0 && e.dirty && e.pins = 0) busy in
+  submit t (List.filter (fun e -> not e.flushing) rewritten) ();
+  await rewritten
 
 let flush_entries t entries =
   List.filter (fun e -> e.dirty && e.pins = 0) entries

@@ -110,7 +110,6 @@ let create ?(log_bytes = Layout.log_bytes) ~vd ~slot ~synchronous ~lease_ok () =
 let set_reclaim_hook t f = t.reclaim <- f
 let last_rid t = t.next_rid
 let durable_rid t = t.flushed_rid
-let log_size t = t.log_bytes
 
 let stats t =
   {

@@ -68,9 +68,6 @@ val last_rid : t -> int
 val durable_rid : t -> int
 (** Every record with an id up to this one is durable in Petal. *)
 
-val log_size : t -> int
-(** The configured log size in bytes. *)
-
 val discard_volatile : t -> unit
 (** Crash simulation: drop the in-memory tail (unwritten records and
     formatted-but-unsubmitted groups). *)

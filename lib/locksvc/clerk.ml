@@ -42,7 +42,6 @@ let stats t = { renew_rounds = t.s_renew_rounds; renew_misses = t.s_renew_misses
 
 let lease t = t.clease
 let table t = t.ctable
-let is_expired t = t.expired
 let lease_valid_until t = t.valid_until
 
 let check_lease_margin t =

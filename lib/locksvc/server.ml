@@ -54,17 +54,6 @@ let lease_alive t lease =
   | Some l -> not l.dead
   | None -> false
 
-let lease_count t =
-  Hashtbl.fold (fun _ l acc -> if l.dead then acc else acc + 1) t.leases 0
-
-let held_locks t =
-  Hashtbl.fold
-    (fun (table, lock) l acc ->
-      List.fold_left
-        (fun acc (lease, m) -> (table, lock, m, lease) :: acc)
-        acc l.holders)
-    t.locks []
-
 let lockst t key =
   match Hashtbl.find_opt t.locks key with
   | Some l -> l
@@ -304,6 +293,8 @@ let expiry_daemon t () =
 
 (* --- lock-server heartbeats & membership -------------------------------- *)
 
+(* Removes a lock server from the service; triggered when its
+   heartbeats stop. *)
 let propose_remove_server t addr =
   if List.mem addr t.servers then ignore (P.propose (paxos t) (Remove_server { addr }))
 

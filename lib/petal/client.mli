@@ -7,7 +7,7 @@
     must be 512-byte aligned; requests may span chunk boundaries and
     are split internally.
 
-    I/O is submit-then-wait: {!read_async} and {!write_async} fan all
+    I/O is submit-then-wait: {!read_runs_async} and {!write_async} fan all
     chunk pieces out concurrently (each piece failing over to its
     replica independently) and return a completion {!handle}; the
     blocking {!read}/{!write} are thin wrappers. Submission applies
@@ -89,11 +89,6 @@ val open_vdisk : t -> int -> vdisk
 val id : vdisk -> int
 val is_snapshot : vdisk -> bool
 
-val read_async : vdisk -> off:int -> len:int -> bytes handle
-(** Submit a read of [len] bytes at virtual offset [off]; uncommitted
-    space reads as zeros. All chunk pieces are issued before the call
-    returns; the handle fills when the last piece lands. *)
-
 val read_runs_async : ?prefetch:bool -> vdisk -> (int * int) list -> bytes list handle
 (** Submit several [(off, len)] extents as one scatter-gather read;
     the handle fills with one buffer per extent, in order, once every
@@ -118,18 +113,15 @@ val write_runs_async : vdisk -> (int * bytes) list -> unit handle
     {!read_runs_async} — the batched write-back path's round-trip
     saver, visible in {!op_stats}. *)
 
-val decommit_async : vdisk -> off:int -> len:int -> unit handle
-(** Submit the freeing of the physical space backing a chunk-aligned
-    range. *)
-
 val read : vdisk -> off:int -> len:int -> bytes
-(** [await (read_async ...)]. *)
+(** Read [len] bytes at virtual offset [off], all chunk pieces in
+    flight at once; uncommitted space reads as zeros. *)
 
 val write : vdisk -> off:int -> bytes -> unit
 (** [await (write_async ...)]. *)
 
 val decommit : vdisk -> off:int -> len:int -> unit
-(** [await (decommit_async ...)]. *)
+(** Free the physical space backing a chunk-aligned range. *)
 
 val snapshot : vdisk -> int
 (** Create a crash-consistent copy-on-write snapshot; returns the

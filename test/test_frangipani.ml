@@ -286,6 +286,33 @@ let test_atime_under_shared_hold () =
       Alcotest.(check int) "W read dirties the inode sector" 1
         (Cache.dirty_count a.Ctx.cache))
 
+(* A revoke must not leave data dirty that the other server then
+   reads stale. A's sync holds its copy of the block ("b") a second
+   before submitting it; A rewrites the block ("c"), and B's
+   read revokes A's write hold while that stale write is in flight.
+   A's flush must put "c" on Petal before it gives up the hold. *)
+let test_revoke_after_rewrite_in_flight () =
+  Sim.run (fun () ->
+      let _, servers = setup ~nservers:2 () in
+      let a, b = (List.nth servers 0, List.nth servers 1) in
+      let f = Fs.create a ~dir:Fs.root "rewritten" in
+      Fs.write a f ~off:0 (Bytes.make 4096 'b');
+      Faultpoint.reset ();
+      Faultpoint.enable ();
+      Faultpoint.arm_site "cache.write_run" ~at:1 (Faultpoint.Delay (Sim.sec 1.0));
+      let synced = Sim.Ivar.create () in
+      Sim.spawn (fun () ->
+          Fs.sync a;
+          Sim.Ivar.fill synced ());
+      while Faultpoint.count "cache.write_run" = 0 do
+        Sim.sleep (Sim.us 100)
+      done;
+      Fs.write a f ~off:0 (Bytes.make 4096 'c');
+      let seen = Fs.read b f ~off:0 ~len:4 in
+      Faultpoint.reset ();
+      Alcotest.(check string) "B reads A's last write" "cccc" (Bytes.to_string seen);
+      Sim.Ivar.read synced)
+
 (* --- failure handling ------------------------------------------------------ *)
 
 let test_crash_recovery_preserves_synced_metadata () =
@@ -475,6 +502,8 @@ let () =
           Alcotest.test_case "write/write" `Quick test_write_write_coherence;
           Alcotest.test_case "atime under a shared hold" `Quick
             test_atime_under_shared_hold;
+          Alcotest.test_case "revoke after a rewrite in flight" `Quick
+            test_revoke_after_rewrite_in_flight;
         ] );
       ( "failures",
         [

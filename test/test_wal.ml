@@ -507,6 +507,71 @@ let test_open_txn_during_pool_overflow () =
         (inode_on_petal vd);
       Alcotest.(check int) "all clean" 0 (Cache.dirty_count c))
 
+(* A flush that finds a data block in flight elsewhere must not return
+   with the block still dirty. The sync demon's write of "a" is held
+   back a second after its copy was taken, the block is rewritten "b",
+   and a revoke's flush of the lock (or an fsync) must leave "b" on
+   Petal when it returns, not only wait for the stale write. *)
+let test_flush_resends_rewritten_data () =
+  Sim.run (fun () ->
+      let vd, _, c = mkcache ~slot:12 in
+      let addr = Layout.small_addr Layout.Small_data 0 in
+      let write ch =
+        Cache.write_data c ~lock:ino_lock ~addr ~bytes:(Bytes.make Layout.small_block ch)
+      in
+      write 'a';
+      Faultpoint.reset ();
+      Faultpoint.enable ();
+      Faultpoint.arm_site "petal.write_piece" ~at:1 (Faultpoint.Delay (Sim.sec 1.0));
+      let sync = spawn_flush (fun () -> Cache.flush_all c) in
+      Sim.sleep (Sim.us 50);
+      write 'b';
+      Cache.flush_lock c ino_lock;
+      Faultpoint.reset ();
+      Alcotest.(check char) "Petal has the rewritten block" 'b'
+        (Bytes.get (Petal.Client.read vd ~off:addr ~len:Layout.small_block) 0);
+      Alcotest.(check int) "nothing dirty" 0 (Cache.dirty_count c);
+      Sim.Ivar.read sync)
+
+(* The re-send round never writes a sector an open transaction has
+   modified. Inode 3's sector holds an unlogged (atime-style) update and
+   is in flight as data in the sync demon's flush, a revoke's flush
+   finds it there and waits, and meanwhile a transaction updates it and
+   is held open before its record is appended. When the revoke's wait
+   ends the sector is dirty again, but its new version is in no log
+   record, so it must stay off Petal until the record is durable. *)
+let test_resend_skips_open_txn () =
+  Sim.run (fun () ->
+      let vd, w, c = mkcache ~slot:13 in
+      let on_petal () = Stdext.Codec.get_int (Petal.Client.read vd ~off:ino ~len:Layout.sector) 0 in
+      let in_log () =
+        List.fold_left
+          (fun acc (x : Wal.diff) -> if x.Wal.addr = ino then max acc x.Wal.version else acc)
+          0 (Wal.scan vd ~slot:13)
+      in
+      Cache.update_nolog c ~lock:ino_lock ~addr:ino ~off:8 ~bytes:(Bytes.of_string "atime");
+      Faultpoint.reset ();
+      Faultpoint.enable ();
+      Faultpoint.arm_site "petal.write_piece" ~at:1 (Faultpoint.Delay (Sim.sec 1.0));
+      Faultpoint.arm_site "wal.append" ~at:1 (Faultpoint.Delay (Sim.sec 2.0));
+      let sync = spawn_flush (fun () -> Cache.flush_all c) in
+      Sim.sleep (Sim.us 50);
+      let revoke = spawn_flush (fun () -> Cache.flush_lock c ino_lock) in
+      Sim.sleep (Sim.us 50);
+      let txn = spawn_flush (fun () -> log_inode c "txn") in
+      Sim.Ivar.read revoke;
+      Alcotest.(check int) "Petal holds the unlogged atime version only" 1 (on_petal ());
+      Alcotest.(check bool) "no version on Petal ahead of the durable log" true
+        (on_petal () <= max 1 (in_log ()));
+      Sim.Ivar.read sync;
+      Sim.Ivar.read txn;
+      Cache.flush_all c;
+      Faultpoint.reset ();
+      Alcotest.(check int) "record durable" 2 (in_log ());
+      Alcotest.(check bool) "log durable" true (Wal.durable_rid w >= Wal.last_rid w);
+      Alcotest.(check int) "sector written after its record" 2 (on_petal ());
+      Alcotest.(check int) "all clean" 0 (Cache.dirty_count c))
+
 let () =
   Alcotest.run "wal"
     [
@@ -543,6 +608,10 @@ let () =
             test_reclaim_never_waits_on_data;
           Alcotest.test_case "commit during pool overflow" `Quick
             test_commit_during_pool_overflow;
+          Alcotest.test_case "flush re-sends rewritten data" `Quick
+            test_flush_resends_rewritten_data;
+          Alcotest.test_case "re-send skips a sector an open txn holds" `Quick
+            test_resend_skips_open_txn;
           Alcotest.test_case "open txn during pool overflow" `Quick
             test_open_txn_during_pool_overflow;
         ] );
